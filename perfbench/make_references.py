@@ -20,9 +20,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+REFERENCES = HERE / "references.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-from workloads import FIG5_ANCHOR_SEED, WORKLOADS, series_hash  # noqa: E402
+from workloads import ANCHOR_SEED, WORKLOADS, series_hash  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -37,31 +38,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seeds", required=True, help="e.g. 0-10,100")
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--output", default=str(HERE / "references.json"))
     args = parser.parse_args(argv)
 
-    path = Path(args.output)
-    document = json.loads(path.read_text(encoding="utf8")) if path.exists() else {}
-    table = document.setdefault(args.size, {}).setdefault(args.workload, {})
+    document = json.loads(REFERENCES.read_text(encoding="utf8")) if REFERENCES.exists() else {}
+    table = document.setdefault("full", {}).setdefault(args.workload, {})
     for seed in parse_seeds(args.seeds):
-        workload = WORKLOADS[args.workload](seed, HERE, size=args.size)
+        workload = WORKLOADS[args.workload](seed, HERE)
         for key in workload.keys():
             if str(key) not in table:
                 table[str(key)] = series_hash(workload.reference(key))
                 print(f"{args.workload} input {key}: {table[str(key)]}", flush=True)
-    if args.workload == "fig5-sweep" and args.size == "full" and str(FIG5_ANCHOR_SEED) in table:
+    if args.workload == "fig5-sweep" and str(ANCHOR_SEED) in table:
         bench = json.loads((ROOT / "BENCH_10.json").read_text(encoding="utf8"))
         pinned = bench["runs"]["current"]["suite"]["FIG5"]["rows_sha256"]
-        if table[str(FIG5_ANCHOR_SEED)] != pinned:
-            print(f"error: FIG5 at seed {FIG5_ANCHOR_SEED} does not match BENCH_10.json", file=sys.stderr)
+        if table[str(ANCHOR_SEED)] != pinned:
+            print(f"error: FIG5 at seed {ANCHOR_SEED} does not match BENCH_10.json", file=sys.stderr)
             return 1
-        print(f"FIG5 at seed {FIG5_ANCHOR_SEED} matches BENCH_10.json ({pinned[:12]})")
-    document[args.size] = {
+        print(f"FIG5 at seed {ANCHOR_SEED} matches BENCH_10.json ({pinned[:12]})")
+    document["full"] = {
         name: dict(sorted(entries.items(), key=lambda kv: int(kv[0])))
-        for name, entries in sorted(document[args.size].items())
+        for name, entries in sorted(document["full"].items())
     }
-    path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf8")
+    REFERENCES.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf8")
     return 0
 
 

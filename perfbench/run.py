@@ -16,11 +16,17 @@ A run sets up once (imports, registry load, a warm-up, and for
 ``queue-sweep`` a worker daemon that claims a warm-up job), then takes timed
 samples, each a cold pass and several warm replays, in rounds over the
 workload's inputs: at least ``min_rounds`` rounds, and more while another
-round fits in ``--seconds``.  ``sweep_s`` and ``replay_s`` are, per input,
-the median over its passes, averaged over the inputs; ``scenario_s`` is
-``sweep_s`` per scenario the pass ran.  Two more
-set-ups run in fresh interpreters after the samples; ``setup_s`` is the
-median of the three.
+round fits in ``--seconds``.  ``sweep_norm_s`` and ``replay_norm_s`` are,
+per input, the median over its passes, averaged over the inputs;
+``scenario_norm_s`` is ``sweep_norm_s`` per scenario the pass ran.  They
+count the CPU seconds of the processes doing the work, scaled to a reference
+host speed (see ``hostspeed.py``); the same figures in unscaled CPU seconds
+and in wall-clock seconds are printed on ``cpu`` and ``wall`` report lines.
+Two more set-ups run in fresh interpreters after the samples; ``setup_s``
+is the median over the three of the set-up's wall-clock time with this
+process's CPU seconds in it scaled by the host speed read meanwhile (the
+rest, mostly waiting for the worker daemon, is left as it is); the
+unscaled median is on the ``wall`` line.
 
 Every sample's output is hashed (rows, or ``RunResult.to_record()``) and
 must equal its replays, every other sample of the same input, the stored
@@ -61,9 +67,9 @@ WORK_ROOT = ROOT / ".perfbench-work"
 WORKLOAD_NAMES = ("fig5-sweep", "flood-unitdisk-12k", "flood-friis-12k", "queue-sweep")
 
 END_TO_END = {
-    "sweep_s": "s",
-    "scenario_s": "s",
-    "replay_s": "s",
+    "sweep_norm_s": "s",
+    "scenario_norm_s": "s",
+    "replay_norm_s": "s",
     "setup_s": "s",
     "peak_rss_mib": "MiB",
 }
@@ -121,9 +127,9 @@ PER_LAYER = {
     "experiments.self_s": "s",
     # isolation and tracing cost
     "linkcache.hits": "count",
-    "trace.overhead.sweep_s": "s",
-    "trace.overhead.scenario_s": "s",
-    "trace.overhead.replay_s": "s",
+    "trace.overhead.sweep_norm_s": "s",
+    "trace.overhead.scenario_norm_s": "s",
+    "trace.overhead.replay_norm_s": "s",
 }
 
 #: Spans each workload must exercise; a traced run fails if one reads zero
@@ -153,11 +159,12 @@ EXPECTED_SPANS = {
 
 #: The intended profile of each workload, checked (and reported) by a traced
 #: run: ``(label, value from the per-layer metrics, bound, "min"|"max")``.
+#: Spans are wall-clock, so the shares are of the cold pass's wall time.
 PROFILES = {
-    "fig5-sweep": ("construction / sweep_s", "construct.share", 0.10, "max"),
-    "flood-unitdisk-12k": ("construction / scenario_s", "construct.share", 0.70, "min"),
-    "flood-friis-12k": ("(soa.run_s + run.self_s) / scenario_s", "round_loop.share", 0.50, "min"),
-    "queue-sweep": ("(fabric + queue + store) / sweep_s", "fabric_queue_store.share", 0.40, "min"),
+    "fig5-sweep": ("construction / sweep wall", "construct.share", 0.10, "max"),
+    "flood-unitdisk-12k": ("construction / scenario wall", "construct.share", 0.70, "min"),
+    "flood-friis-12k": ("(soa.run_s + run.self_s) / scenario wall", "round_loop.share", 0.50, "min"),
+    "queue-sweep": ("(fabric + queue + store) / sweep wall", "fabric_queue_store.share", 0.40, "min"),
 }
 
 
@@ -189,12 +196,15 @@ def load_references(path: Path) -> dict:
 
 
 # -- end-to-end metrics ------------------------------------------------------------------------
-def end_to_end(samples, inputs: int, setups, rss_kib: dict) -> dict:
+def pass_times(samples, inputs: int, clock: str) -> dict:
     """Per input the median over its samples, then the mean over inputs.
 
     Samples are taken in rounds over the workload's ``inputs`` inputs, so a
-    sample's input position is its index modulo ``inputs``.
+    sample's input position is its index modulo ``inputs``.  ``clock`` is
+    ``"norm"`` (CPU seconds at the reference speed), ``"cpu"`` or ``"wall"``.
     """
+    from hostspeed import scaled
+
     by_key: dict[int, list] = {}
     for sample in samples:
         by_key.setdefault(sample.index % inputs, []).append(sample)
@@ -204,11 +214,35 @@ def end_to_end(samples, inputs: int, setups, rss_kib: dict) -> dict:
             statistics.median(x for s in group for x in values(s)) for group in by_key.values()
         )
 
+    def cold(sample) -> float:
+        # A worker daemon's CPU time is scaled by its own speed readings.
+        if clock == "norm":
+            worker = scaled(sample.worker_cpu_s, sample.worker_speed_ms) if sample.worker_cpu_s else 0.0
+            return scaled(sample.cold_cpu_s, sample.cold_speed_ms) + worker
+        return sample.cold_cpu_s + sample.worker_cpu_s if clock == "cpu" else sample.cold_s
+
+    def warm(sample) -> list:
+        if clock == "norm":
+            return [scaled(t, sample.warm_speed_ms) for t in sample.warm_cpu_times]
+        return sample.warm_cpu_times if clock == "cpu" else sample.warm_times
+
     return {
-        "sweep_s": over_inputs(lambda s: [s.cold_s]),
-        "scenario_s": over_inputs(lambda s: [s.cold_s / max(s.scenarios, 1)]),
-        "replay_s": over_inputs(lambda s: s.warm_times),
-        "setup_s": statistics.median(setups) if setups else float("nan"),
+        "sweep": over_inputs(lambda s: [cold(s)]),
+        "scenario": over_inputs(lambda s: [cold(s) / max(s.scenarios, 1)]),
+        "replay": over_inputs(warm),
+    }
+
+
+def end_to_end(samples, inputs: int, setups, rss_kib: dict) -> dict:
+    """``setups`` holds ``(wall seconds, CPU seconds, host speed)`` per set-up."""
+    from hostspeed import scaled
+
+    times = pass_times(samples, inputs, "norm")
+    return {
+        **{f"{name}_norm_s": value for name, value in times.items()},
+        "setup_s": statistics.median(
+            max(wall - cpu, 0.0) + scaled(cpu, speed) for wall, cpu, speed in setups
+        ),
         "peak_rss_mib": max(rss_kib.values()) / 1024.0,
     }
 
@@ -354,15 +388,19 @@ def per_layer(workload, traced, spans, worker_queues: dict, overhead: dict) -> t
 
 
 # -- the run -----------------------------------------------------------------------------------
-def setup_probe(args) -> tuple[float, int]:
-    """Set the workload up in a fresh interpreter; returns its set-up time and peak RSS."""
+def setup_probe(args) -> tuple[list, int]:
+    """Set the workload up in a fresh interpreter.
+
+    Returns its wall and CPU set-up time with the host speed during it, and
+    its peak RSS.
+    """
     command = [
         sys.executable, str(Path(__file__)), "--workload", args.workload, "--seed",
         str(args.seed), "--size", args.size, "--setup-probe",
     ]
     done = subprocess.run(command, capture_output=True, text=True, timeout=170, check=True)
     record = json.loads(done.stdout.strip().splitlines()[-1])
-    return record["setup_s"], record["peak_rss_kib"]
+    return record["setup"], record["peak_rss_kib"]
 
 
 def check_samples(workload, samples, references: dict, serial: dict) -> list[str]:
@@ -391,6 +429,7 @@ def check_samples(workload, samples, references: dict, serial: dict) -> list[str
 def run(args) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import tracing
+    from hostspeed import SpeedSampler
     from workloads import WORKLOADS, QueueSweep, series_hash
 
     load_before = os.getloadavg()
@@ -398,11 +437,19 @@ def run(args) -> int:
     workload = WORKLOADS[args.workload](args.seed, workdir, size=args.size)
     workdir.mkdir(parents=True)
     try:
-        workload.setup()
-        setup_s = time.perf_counter() - STARTED
+        with SpeedSampler() as sampler:
+            mark = sampler.mark()
+            workload.setup()
+            # Since the interpreter started, without the readings' own time.
+            setup = [
+                time.perf_counter() - STARTED - sampler.overhead_s,
+                time.process_time() - sampler.overhead_s,
+                sampler.speed_since(mark),
+            ]
         if args.setup_probe:
             rss = workload.close()
-            print(json.dumps({"setup_s": setup_s, "peak_rss_kib": max([peak_rss_kib(), *rss.values()])}))
+            peak = max([peak_rss_kib(), *rss.values()])
+            print(json.dumps({"setup": setup, "peak_rss_kib": peak}))
             return 0
 
         samples, spans, untraced = [], [], []
@@ -442,19 +489,27 @@ def run(args) -> int:
         except OSError:
             pass  # another run is using it
 
+    problems = []
     serial = {}
     if isinstance(workload, QueueSweep):
+        for sample in samples + untraced:
+            usage = workload.worker_usage(sample.index)
+            if usage is None:
+                problems.append(f"sample {sample.index}: the worker recorded no CPU time for its queue")
+            else:
+                sample.worker_cpu_s = usage["cpu_s"]
+                sample.worker_speed_ms = usage["speed_ms"]
         for key in workload.keys():
             serial[key] = series_hash(workload.reference(key))
     rss["benchmark"] = peak_rss_kib()
-    setups = [setup_s]
+    setups = [setup]
     if not args.trace:
         for _ in range(2):
-            probe_s, probe_rss = setup_probe(args)
-            setups.append(probe_s)
+            probe, probe_rss = setup_probe(args)
+            setups.append(probe)
             rss["setup-probe"] = max(rss.get("setup-probe", 0), probe_rss)
     references = load_references(Path(args.references))
-    problems = check_samples(workload, samples + untraced, references, serial)
+    problems += check_samples(workload, samples + untraced, references, serial)
 
     host = host_record()
     host["loadavg_before"] = list(load_before)
@@ -467,8 +522,12 @@ def run(args) -> int:
     for sample in untraced + samples:
         reference = references.get(workload.size, {}).get(workload.name, {}).get(str(sample.key))
         print(
-            f"sample {sample.index} input={sample.key} sweep_s={sample.cold_s:.4f} "
-            f"replay_s={statistics.median(sample.warm_times):.4f} scenarios={sample.scenarios} "
+            f"sample {sample.index} input={sample.key} sweep_cpu_s={sample.cold_cpu_s + sample.worker_cpu_s:.4f} "
+            f"replay_cpu_s={statistics.median(sample.warm_cpu_times):.4f} "
+            f"sweep_wall_s={sample.cold_s:.4f} replay_wall_s={statistics.median(sample.warm_times):.4f} "
+            f"speed_ms={sample.cold_speed_ms:.3f},{sample.warm_speed_ms:.3f}"
+            f"{f',{sample.worker_speed_ms:.3f}' if sample.worker_cpu_s else ''} "
+            f"scenarios={sample.scenarios} "
             f"hash={sample.cold_hash} "
             f"reference={'match' if reference == sample.cold_hash else 'none' if reference is None else 'DRIFT'}"
         )
@@ -479,11 +538,21 @@ def run(args) -> int:
         for s in samples + untraced
     )
     print(f"failed_frac {failed / max(attempted, 1):.4f} ({failed} of {attempted} attempts)")
+    for clock in ("cpu", "wall"):
+        times = pass_times(samples, len(workload.keys()), clock)
+        if clock == "wall":
+            times["setup"] = statistics.median(wall for wall, _, _ in setups)
+        print(f"{clock} " + " ".join(f"{name}_s={value:.6g}" for name, value in times.items()) + f" (n={len(samples)} samples)")
+    speeds = [speed for s in untraced + samples for speed in (s.cold_speed_ms, s.warm_speed_ms)]
+    print(f"host speed_ms {min(speeds):.3f}-{max(speeds):.3f} (mean reference turn per pass)")
 
     if args.trace:
         base = end_to_end(untraced, len(workload.keys()), setups, rss)
         traced = end_to_end(samples, len(workload.keys()), setups, rss)
-        overhead = {name: traced[name] - base[name] for name in ("sweep_s", "scenario_s", "replay_s")}
+        overhead = {
+            name: traced[name] - base[name]
+            for name in ("sweep_norm_s", "scenario_norm_s", "replay_norm_s")
+        }
         worker_queues = workload.worker_spans() if isinstance(workload, QueueSweep) else {}
         metrics, shares, missing, bases = per_layer(workload, samples, spans, worker_queues, overhead)
         units = PER_LAYER

@@ -10,8 +10,9 @@ sample reuses a previous sample's link state.
 With ``"trace": true`` the worker-side layer spans of :mod:`tracing` are
 installed: ``claim_next`` (``worker.claim``), ``run_claimed_job``
 (``worker.run``), the repetition, store and simulation layers, and the idle
-sleeps (``worker.idle``).  At exit the spans of every traced queue and the
-process's peak RSS are written as JSON to ``--out``.
+sleeps (``worker.idle``).  At exit the CPU seconds spent serving each queue
+and the host's speed meanwhile (see ``hostspeed.py``), the spans of every
+traced queue and the process's peak RSS are written as JSON to ``--out``.
 
 Usage (started by ``perfbench/run.py``)::
 
@@ -33,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import tracing  # noqa: E402
+from hostspeed import SpeedSampler  # noqa: E402
+from workloads import QueueSweep  # noqa: E402
+
+WORKER_ID = "perfbench-worker"
 
 #: The worker exits at its next idle moment after this many seconds, or as
 #: soon as its parent (the benchmark) is gone.
@@ -80,16 +85,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--control", required=True, help="control file naming the queue")
     parser.add_argument("--out", required=True, help="where to write spans and peak RSS")
-    parser.add_argument("--poll", type=float, default=0.05, help="idle poll interval (s)")
-    parser.add_argument("--worker-id", default="perfbench-worker")
     args = parser.parse_args(argv)
 
     from repro.service import worker
     from repro.sim.engine import clear_link_cache
 
     control = Path(args.control)
+    poll = QueueSweep.poll_interval
     tracer = tracing.Tracer()
     queues: dict[str, dict] = {}
+    usage: dict[str, dict] = {}
     parent = os.getppid()
     try:
         while True:
@@ -98,7 +103,7 @@ def main(argv=None) -> int:
                 break
             queue_dir = current.get("queue")
             if not queue_dir:
-                time.sleep(args.poll)
+                time.sleep(poll)
                 continue
             clear_link_cache()
             gc.collect()
@@ -107,9 +112,16 @@ def main(argv=None) -> int:
                 tracing.install(tracer, "worker")
             before = tracer.snapshot()
             try:
-                worker.worker_loop(queue_dir, worker_id=args.worker_id, poll_interval=args.poll)
-            except _Switch:
-                pass
+                with SpeedSampler() as sampler:
+                    mark = sampler.mark()
+                    try:
+                        worker.worker_loop(queue_dir, worker_id=WORKER_ID, poll_interval=poll)
+                    except _Switch:
+                        pass
+                    usage[queue_dir] = {
+                        "cpu_s": sampler.cpu_since(mark),
+                        "speed_ms": sampler.speed_since(mark),
+                    }
             finally:
                 tracer.uninstall()
                 worker.time = time
@@ -122,6 +134,7 @@ def main(argv=None) -> int:
     finally:
         record = {
             "queues": queues,
+            "usage": usage,
             "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
         Path(args.out).write_text(json.dumps(record), encoding="utf8")

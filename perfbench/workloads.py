@@ -2,11 +2,16 @@
 
 Every workload is closed-loop: this process submits the work and waits for
 the last row before it starts the next sample.  A sample is a *cold* pass
-into a fresh result store (``sweep_s``) followed by warm replays of the same
-job set from that store, each opened as a new store object (``replay_s``);
-a replay must dispatch no job.  Before each sample the engine's link-state
-cache is cleared and the garbage collector run, so no sample reuses a
-previous sample's link state.
+into a fresh result store (``sweep_norm_s``) followed by warm replays of the
+same job set from that store, each opened as a new store object
+(``replay_norm_s``); a replay must dispatch no job.  Before each sample the
+engine's link-state cache is cleared and the garbage collector run, so no
+sample reuses a previous sample's link state.
+
+Passes are timed in CPU seconds of the processes doing the work (this one,
+and for ``queue-sweep`` also the worker daemon), together with the host's
+speed during the pass (see ``hostspeed.py``); the wall-clock time is kept
+beside them.
 
 ``size="tiny"`` shrinks every workload to a few seconds for the self-test.
 """
@@ -14,7 +19,6 @@ previous sample's link state.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import os
 import signal
@@ -24,33 +28,17 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
+from hostspeed import SpeedSampler
 
 HERE = Path(__file__).resolve().parent
+# Samples are hashed exactly as ``BENCH_*.json`` captures hash their series.
+sys.path.append(str(HERE.parent / "benchmarks"))
 
-#: FIG5's own ``base_seed``: the input behind ``BENCH_10.json``'s FIG5 hash.
-FIG5_ANCHOR_SEED = 100
+from capture import series_hash  # noqa: E402
 
-
-def _canonical(value):
-    """The canonicalisation of ``benchmarks/capture.py``'s ``series_hash``."""
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, np.generic):
-        return _canonical(value.item())
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    raise TypeError(f"cannot canonicalize {type(value).__name__} for hashing")
-
-
-def series_hash(value) -> str:
-    """SHA-256 over the canonical JSON of rows or a ``RunResult.to_record()``."""
-    encoded = json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf8")).hexdigest()
+#: FIG5's own ``base_seed`` (the input behind ``BENCH_10.json``'s FIG5
+#: hash), and the seed at which ``queue-sweep`` runs the specs' defaults.
+ANCHOR_SEED = 100
 
 
 def dir_bytes(path: Path) -> int:
@@ -63,12 +51,19 @@ def dir_bytes(path: Path) -> int:
 
 @dataclass
 class Sample:
-    """One timed sample: a cold pass and its warm replay."""
+    """One timed sample: a cold pass and its warm replays."""
 
     index: int
     key: int
+    #: Wall-clock seconds of the cold pass and of each replay.
     cold_s: float
     warm_times: list
+    #: CPU seconds of the same, in this process, and the host's speed during
+    #: the cold pass and during the replays (mean reference turn, ms).
+    cold_cpu_s: float
+    warm_cpu_times: list
+    cold_speed_ms: float
+    warm_speed_ms: float
     scenarios: int
     cold_hash: str
     #: Distinct hashes of the replays' outputs (one, equal to ``cold_hash``).
@@ -81,13 +76,17 @@ class Sample:
     store_misses: int
     #: Wall-clock ``(start, end)`` of the cold pass, to place worker spans.
     cold_window: tuple
+    #: ``queue-sweep``: the worker daemon's CPU seconds on the sample's queue
+    #: and the host's speed it read meanwhile, set once
+    #: :meth:`QueueSweep.close` has read them.
+    worker_cpu_s: float = 0.0
+    worker_speed_ms: float = 0.0
 
 
 class Workload:
     """Base class: subclasses define inputs, stores, executors and one pass."""
 
     name = ""
-    why = ""
     #: Rounds over :meth:`keys` every run makes, however short ``--seconds``.
     min_rounds = 3
     #: Seconds of warm replays per untraced sample (at least three).  A
@@ -161,11 +160,13 @@ class Workload:
         spans = {}
         store = self.open_store(sample_dir)
         mark = tracer.snapshot() if tracer is not None else None
-        with self.executor(sample_dir, store) as executor:
+        with SpeedSampler() as sampler, self.executor(sample_dir, store) as executor:
             wall = time.time()
-            started = time.perf_counter()
+            started, cpu = time.perf_counter(), sampler.mark()
             output = self.execute(key, executor, store)
             cold_s = time.perf_counter() - started
+            cold_cpu_s = sampler.cpu_since(cpu)
+            cold_speed_ms = sampler.speed_since(cpu)
             telemetry = executor.telemetry.snapshot()
         if tracer is not None:
             spans["cold"] = diff(tracer.snapshot(), mark)
@@ -173,22 +174,30 @@ class Workload:
         self.cold_done()
         link_hits = link_cache_info()["hits"]
         store_bytes = dir_bytes(Path(store.cache_dir))
-        warm_times, warm_hashes, replay_attempts = [], set(), 0
+        warm_times, warm_cpu_times, warm_hashes, replay_attempts = [], [], set(), 0
         store_hits, store_misses = store.stats.hits, store.stats.misses
         mark = tracer.snapshot() if tracer is not None else None
         replaying = time.perf_counter()
-        while len(warm_times) < 3 or (
-            tracer is None and time.perf_counter() - replaying < self.replay_seconds
-        ):
-            warm_store = self.open_store(sample_dir)
-            with self.executor(sample_dir, warm_store) as executor:
-                started = time.perf_counter()
-                replayed = self.execute(key, executor, warm_store)
-                warm_times.append(time.perf_counter() - started)
-                replay_attempts += executor.telemetry.attempts
-            warm_hashes.add(series_hash(replayed))
-            store_hits += warm_store.stats.hits
-            store_misses += warm_store.stats.misses
+        with SpeedSampler() as sampler:
+            burst = sampler.mark()
+            while len(warm_times) < 3 or (
+                tracer is None and time.perf_counter() - replaying < self.replay_seconds
+            ):
+                # Each replay starts from the same collector state, so it pays
+                # for the same collections.  Without this, fig5-sweep's median
+                # replay fell near 14 ms in some runs and 20 ms in others.
+                gc.collect()
+                warm_store = self.open_store(sample_dir)
+                with self.executor(sample_dir, warm_store) as executor:
+                    started, cpu = time.perf_counter(), sampler.mark()
+                    replayed = self.execute(key, executor, warm_store)
+                    warm_times.append(time.perf_counter() - started)
+                    warm_cpu_times.append(sampler.cpu_since(cpu))
+                    replay_attempts += executor.telemetry.attempts
+                warm_hashes.add(series_hash(replayed))
+                store_hits += warm_store.stats.hits
+                store_misses += warm_store.stats.misses
+            warm_speed_ms = sampler.speed_since(burst)
         if tracer is not None:
             spans["warm"] = diff(tracer.snapshot(), mark)
         result = Sample(
@@ -196,6 +205,10 @@ class Workload:
             key=key,
             cold_s=cold_s,
             warm_times=warm_times,
+            cold_cpu_s=cold_cpu_s,
+            warm_cpu_times=warm_cpu_times,
+            cold_speed_ms=cold_speed_ms,
+            warm_speed_ms=warm_speed_ms,
             scenarios=telemetry["attempts"],
             cold_hash=series_hash(output),
             warm_hashes=sorted(warm_hashes),
@@ -223,19 +236,7 @@ def _run_spec(spec_id: str, overrides: dict, executor, store):
 
 class Fig5Sweep(Workload):
     name = "fig5-sweep"
-    why = (
-        "the paper's headline crash-resilience figure (FIG5, small scale); the SoA "
-        "disjunction round loop does almost all of the work"
-    )
     min_rounds = 1
-
-    def keys(self) -> list[int]:
-        # FIG5 sweeps differ in cost by ~9% from seed to seed, so a run times
-        # two: the seed's and the figure's own input, whose rows hash is
-        # pinned by BENCH_10.json.
-        if self.tiny:
-            return [self.seed]
-        return [self.seed, FIG5_ANCHOR_SEED]
 
     def overrides(self, key: int) -> dict:
         overrides = {"base_seed": key}
@@ -276,6 +277,9 @@ class Flood(Workload):
     #: thousands of rounds), so a fixed horizon below completion keeps every
     #: seed's round-loop work the same.
     horizon = 700
+    #: Two samples: scaled to the host's speed, a flood's passes agree within
+    #: a few percent, and the driver's time budget is spent on four workloads.
+    min_rounds = 2
 
     def _task(self, key: int):
         from repro.experiments.factories import UniformDeploymentFactory
@@ -332,31 +336,31 @@ class Flood(Workload):
 
 class FloodUnitDisk(Flood):
     name = "flood-unitdisk-12k"
-    why = (
-        "construction dominates (SoA compile of 12 000 nodes on the sparse tiled "
-        "link state): the affordable sibling of the 10^5-node unit-disk flood"
-    )
     channel = "unitdisk"
 
 
 class FloodFriis(Flood):
     name = "flood-friis-12k"
-    why = (
-        "same construction over the Friis channel, but the round loop (power-sum over "
-        "on-demand submatrices) dominates; no built-in experiment uses Friis"
-    )
     channel = "friis"
 
 
 class QueueSweep(Workload):
     name = "queue-sweep"
-    why = (
-        "EPID, MAPSZ, DUAL and FIG7 (34 jobs) through the work queue to one worker "
-        "daemon, then replayed from the warm shared store: dispatch and store I/O"
-    )
     #: The submitter's and the worker's poll interval: the defaults of
     #: ``--backend queue`` and ``python -m repro.service worker``.
     poll_interval = 0.2
+    #: A cold pass's CPU time moves by ~10% from one run to the next, and
+    #: now and then one pass takes 25% more: three per input, so that the
+    #: median drops it.
+    min_rounds = 3
+
+    def keys(self) -> list[int]:
+        # Cold passes differ by ~10% from seed to seed (the simulations do
+        # not: the queue and store work does), so a run times two inputs:
+        # the seed's and the specs' own (seed 100).
+        if self.tiny:
+            return [self.seed]
+        return [self.seed, ANCHOR_SEED]
 
     def __init__(self, seed, workdir, *, size="full") -> None:
         super().__init__(seed, workdir, size=size)
@@ -394,7 +398,6 @@ class QueueSweep(Workload):
                 str(HERE / "worker_shim.py"),
                 "--control", str(self.control),
                 "--out", str(self.spans_path),
-                "--poll", str(self.poll_interval),
             ],
             stdin=subprocess.DEVNULL,
         )
@@ -450,6 +453,10 @@ class QueueSweep(Workload):
 
     def worker_spans(self) -> dict:
         return self.worker_record.get("queues", {})
+
+    def worker_usage(self, index: int):
+        """The worker's ``{"cpu_s", "speed_ms"}`` on sample ``index``'s queue (after :meth:`close`)."""
+        return self.worker_record.get("usage", {}).get(str(self.sample_dir(index) / "queue"))
 
     def close(self) -> dict:
         if self.worker is None:
