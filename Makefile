@@ -14,15 +14,15 @@ test:
 # report the cross-PR trend over every BENCH_*.json (fails on a >25%
 # regression of any entry vs its best recorded run — ROADMAP item 5's
 # regression guard).
-# PR 7/9's varied knob is the protocol execution runtime: the baseline is
-# the cohort tier with the struct-of-arrays kernels pinned off, the current
-# run the SoA slot kernels (--runtime soa; since PR 9 they also cover loss,
+# The varied knob is the protocol execution tier: the baseline is the
+# scalar oracle (struct-of-arrays kernels pinned off), the current run the
+# SoA slot kernels (--runtime soa; they also cover loss,
 # Friis power-sum and traced configurations).  Both labels use --tiling on,
 # which resolves to the auto threshold for the suite (small deployments
 # stay dense — forcing CSR onto them was the DUAL/MAPSZ regression in
 # BENCH_6) and forces the sparse CSR tier for the paper-scale macros, so
 # the requires_tiling 10^5-node macros run under both labels.
-BENCH_RUNTIME_BASELINE ?= cohort
+BENCH_RUNTIME_BASELINE ?= scalar
 BENCH_RUNTIME_CURRENT ?= soa
 BENCH_TILING ?= on
 bench:
@@ -34,9 +34,10 @@ bench-baseline:
 	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE) --tiling $(BENCH_TILING)
 
 # CI smoke: verify BENCH_$(PR).json exists and its suite hashes reproduce,
-# then check exports are byte-identical SoA-on vs SoA-off — FIG5 for the
-# unit-disk disjunction kernels, the Friis smoke spec for the PR 9
-# power-sum (+ loss) kernels.
+# then check exports are byte-identical between the SoA kernels and the
+# scalar oracle (REPRO_SOA_KERNELS=1 vs =0) — FIG5 for the unit-disk
+# disjunction kernels, the Friis smoke spec for the power-sum (+ loss)
+# kernels.
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_$(PR).json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json

@@ -27,16 +27,14 @@ Usage::
     PYTHONPATH=src python benchmarks/capture.py --pr 4 --label current --suite-only
     PYTHONPATH=src python benchmarks/capture.py --pr 6 --label baseline --tiling off
     PYTHONPATH=src python benchmarks/capture.py --pr 6 --label current --tiling on
-    PYTHONPATH=src python benchmarks/capture.py --pr 7 --label baseline --runtime cohort --tiling on
     PYTHONPATH=src python benchmarks/capture.py --pr 7 --label current --runtime soa --tiling on
     PYTHONPATH=src python benchmarks/capture.py --check BENCH_4.json
 
-``--runtime {cohort,scalar,soa}`` pins the protocol execution runtime for the
-capture: ``scalar`` is the per-device oracle (``REPRO_COHORT_RUNTIME=0``,
-``REPRO_SOA_KERNELS=0``), ``cohort`` the shared-state batched path with the
-struct-of-arrays kernels off, and ``soa`` (PR 7) enables the struct-of-arrays
-slot kernels on top of the cohort default — the hashes must agree exactly
-across all three, which is itself part of the bit-identity contract.
+``--runtime {scalar,soa}`` pins the protocol execution tier for the capture
+(``REPRO_SOA_KERNELS``): ``scalar`` is the per-device oracle and ``soa``
+the struct-of-arrays slot kernels, with the scalar loop covering
+ineligible runs — the hashes must agree exactly across both, which is itself
+part of the bit-identity contract.
 
 ``--tiling {on,off}`` pins the link-state tier the same way
 (``REPRO_SPATIAL_TILING``): PR 6's baseline is the dense matrix path, its
@@ -134,8 +132,8 @@ MACROS = (
     # kernels carry the 6-phase 2Bit exchanges in packed-bitmask algebra,
     # which is what makes the protocol (not just the flood) tractable at
     # this size — so, like requires_tiling vs the dense baseline, the macro
-    # only runs when the SoA tier is on (a cohort/scalar baseline would
-    # take hours).
+    # only runs when the SoA tier is on (a scalar baseline would take
+    # hours).
     {
         "name": "nw-unitdisk-100k",
         "protocol": "neighborwatch",
@@ -212,8 +210,8 @@ def capture_macros(log) -> dict:
     state would not fit in memory, which is the point of the flag.  Macros
     flagged ``requires_soa`` are likewise skipped unless the struct-of-arrays
     kernels are enabled: they are scale targets the SoA tier unlocks, not
-    before/after comparisons, and running them on the cohort or scalar tier
-    would take hours.
+    before/after comparisons, and running them on the scalar tier would take
+    hours.
     """
     from repro.experiments.factories import UniformDeploymentFactory
     from repro.sim.builder import build_channel, run_scenario
@@ -256,19 +254,15 @@ def capture_macros(log) -> dict:
             "channel": macro["channel"],
             "protocol": macro["protocol"],
             # Which execution tier actually carried the run — SoA slot
-            # kernels, cohort batching, or the scalar oracle — with the SoA
-            # compile/fallback counters when that tier was active.
+            # kernels or the scalar oracle — with the SoA compile/fallback
+            # counters when that tier was active.
             "runtime_tiers": {
                 "soa_kernels": info.get("soa_kernels", {"enabled": False}),
-                "cohort_runtime": {
-                    "enabled": bool(info.get("cohort_runtime", {}).get("enabled"))
-                },
             },
         }
         # The engine's module-level link cache still holds the state this run
-        # used (same channel signature + positions), live round counters
-        # included — so the tiling telemetry costs one cache lookup, not a
-        # second run.
+        # used (same channel signature + positions) — so the tiling telemetry
+        # costs one cache lookup, not a second run.
         state = _cached_link_state(
             build_channel(config), deployment.positions, sparse=tiled
         )
@@ -431,15 +425,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--runtime",
-        choices=("cohort", "scalar", "soa"),
+        choices=("scalar", "soa"),
         default=None,
-        help="force the protocol execution runtime for this capture (sets "
-        "REPRO_COHORT_RUNTIME / REPRO_SOA_KERNELS): 'scalar' records the "
-        "per-device oracle baseline, 'cohort' the shared-state batched path "
-        "with the struct-of-arrays kernels off, 'soa' the struct-of-arrays "
-        "slot kernels (cohort batching still covers ineligible runs); "
-        "results are bit-identical, only the wall clock moves "
-        "(default: environment)",
+        help="force the protocol execution tier for this capture (sets "
+        "REPRO_SOA_KERNELS): 'scalar' records the per-device oracle "
+        "baseline, 'soa' the struct-of-arrays slot kernels (the scalar loop "
+        "still covers ineligible runs); results are bit-identical, only the "
+        "wall clock moves (default: environment)",
     )
     parser.add_argument(
         "--tiling",
@@ -465,11 +457,6 @@ def main(argv=None) -> int:
     import os
 
     if args.runtime is not None:
-        # 'soa' layers on top of the cohort default: eligible runs compile to
-        # the struct-of-arrays kernels, everything else (Friis, lossy
-        # channels) still batches through cohorts.  'cohort' and 'scalar'
-        # pin the kernels off so each tier is measured in isolation.
-        os.environ["REPRO_COHORT_RUNTIME"] = "0" if args.runtime == "scalar" else "1"
         os.environ["REPRO_SOA_KERNELS"] = "1" if args.runtime == "soa" else "0"
 
     def tiling_env(section: str) -> None:

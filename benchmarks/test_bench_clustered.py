@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import ClusteredSpec, run_clustered
+from repro.experiments import get_spec, run_spec
 
 
 def test_clustered_deployments(benchmark, bench_executor):
-    spec = ClusteredSpec.small()
-    rows = run_once(benchmark, run_clustered, spec, executor=bench_executor)
+    rows = run_once(benchmark, run_spec, get_spec("CLUST"), scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import DualModeSpec, run_dual_mode
+from repro.experiments import get_spec, run_spec
 
 
 def test_dual_mode_overhead(benchmark, bench_executor):
-    spec = DualModeSpec.small()
-    row = run_once(benchmark, run_dual_mode, spec, executor=bench_executor)
+    (row,) = run_once(benchmark, run_spec, get_spec("DUAL"), scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         [row],

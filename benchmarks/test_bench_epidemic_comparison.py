@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import EpidemicComparisonSpec, run_epidemic_comparison
+from repro.experiments import get_spec, run_spec
 
 
 def test_epidemic_comparison_neighborwatch(benchmark, bench_executor):
-    spec = EpidemicComparisonSpec.small()
-    rows = run_once(benchmark, run_epidemic_comparison, spec, executor=bench_executor)
+    rows = run_once(benchmark, run_spec, get_spec("EPID"), scale="small", executor=bench_executor)
     attach_rows(
         benchmark,
         rows,
@@ -33,8 +32,21 @@ def test_epidemic_comparison_neighborwatch(benchmark, bench_executor):
 
 
 def test_epidemic_comparison_multipath(benchmark, bench_executor):
-    spec = EpidemicComparisonSpec.small_with_multipath()
-    rows = run_once(benchmark, run_epidemic_comparison, spec, executor=bench_executor)
+    overrides = {
+        "map_sizes": (8.0,),
+        "message_length": 2,
+        "repetitions": 1,
+        "include_multipath": True,
+        "multipath_tolerance": 1,
+    }
+    rows = run_once(
+        benchmark,
+        run_spec,
+        get_spec("EPID"),
+        scale="small",
+        overrides=overrides,
+        executor=bench_executor,
+    )
     attach_rows(
         benchmark,
         rows,

@@ -16,7 +16,7 @@ import time
 
 from conftest import attach_rows, run_once
 
-from repro.experiments import JammingSpec, run_jamming
+from repro.experiments import get_spec, run_spec
 from repro.sim.runner import SweepExecutor
 
 #: Speedup the pool must deliver when the hardware can parallelise at all.
@@ -24,29 +24,20 @@ REQUIRED_SPEEDUP = 2.0
 WORKERS = 4
 
 
-def _sweep_spec() -> JammingSpec:
-    # A multi-repetition sweep with enough independent (point, repetition)
-    # jobs (3 budgets x 4 repetitions) to keep four workers busy.
-    return JammingSpec(
-        map_size=10.0,
-        num_nodes=150,
-        radius=3.0,
-        message_length=2,
-        budgets=(0, 4, 8),
-        repetitions=4,
-    )
+def _run_sweep(executor):
+    # JAM at small scale with four repetitions: enough independent (point,
+    # repetition) jobs (3 budgets x 4 repetitions) to keep four workers busy.
+    return run_spec(get_spec("JAM"), scale="small", overrides={"repetitions": 4}, executor=executor)
 
 
 def test_parallel_sweep_matches_serial_and_speeds_up(benchmark):
-    spec = _sweep_spec()
-
     started = time.perf_counter()
-    serial_rows = run_jamming(spec, executor=SweepExecutor(0))
+    serial_rows = _run_sweep(SweepExecutor(0))
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     with SweepExecutor(WORKERS) as executor:
-        parallel_rows = run_once(benchmark, run_jamming, spec, executor=executor)
+        parallel_rows = run_once(benchmark, _run_sweep, executor)
     parallel_seconds = time.perf_counter() - started
 
     # Determinism: the pool must reproduce the serial sweep bit for bit —

@@ -29,13 +29,6 @@ class Adversary(Protocol):
 
     may_transmit_anywhere: bool = True
 
-    #: Adversaries are never executed as shared cohorts.  Their behaviour is
-    #: device-specific by nature (private RNG streams, per-device budgets,
-    #: scripted rounds), and the cohort runtime additionally refuses to share
-    #: any dishonest device — the declaration here makes the contract explicit
-    #: for every subclass.
-    shareable: bool = False
-
     def __init__(self, budget: Optional[int] = None) -> None:
         self.budget = BroadcastBudget(budget)
 

@@ -29,11 +29,9 @@ VETO_PHASES = (4, 5)
 class VetoJammer(Adversary):
     """Jam veto rounds with a fixed probability, subject to a broadcast budget.
 
-    ``shareable = False`` (inherited from :class:`Adversary`, restated for
-    emphasis): every jamming decision consumes this device's *private* RNG
-    stream in ``wants_slot``, so sharing one machine across jammers would move
-    their stream positions — the cohort runtime must treat each jammer as a
-    singleton, and does.
+    Every jamming decision consumes this device's *private* RNG stream in
+    ``wants_slot``, which the engine queries in declaration order on every
+    tier, so the stream positions never depend on the execution tier.
 
     Parameters
     ----------

@@ -19,13 +19,6 @@ registered plugin (``ProtocolPlugin.build_liar``, the path the simulation
 builder takes); the helpers here are thin conveniences that delegate through
 ``repro.registry.PROTOCOLS``, so there is exactly one construction rule per
 protocol.
-
-Cohort runtime note: although the honest protocol *classes* used here are
-``shareable``, the devices built by these factories are registered with
-``honest=False`` in the simulation, and the cohort runtime never shares
-dishonest devices — every lying device runs as a singleton cohort, exactly as
-the scalar oracle executes it (their ``preloaded_message`` also keys them
-apart from honest cohorts via ``cohort_key``, as defence in depth).
 """
 
 from __future__ import annotations

@@ -30,12 +30,7 @@ class ScriptedAdversary(Adversary):
     The script maps ``(cycle, slot, phase)`` triples to frame kinds; rounds not
     in the script are silent.  A ``predicate`` variant accepts a callable for
     open-ended behaviours (e.g. "jam phase 4 of every slot of cycle 0").
-
-    ``shareable = False`` (inherited, restated): scripts and budgets are
-    per-device, so scripted adversaries always run as singleton cohorts.
     """
-
-    shareable = False
 
     def __init__(
         self,

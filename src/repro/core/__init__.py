@@ -14,15 +14,6 @@ from .messages import (
     validate_bits,
 )
 from .protocol import ChannelState, DeliveryStatus, NodeContext, Observation, Protocol, SILENCE
-from .runtime import (
-    END_PHASE,
-    OPAQUE_LISTEN,
-    ActionSpec,
-    PhaseContext,
-    PhaseDrivenProtocol,
-    action_spec,
-    clone_machine,
-)
 from .regions import SquareGrid, SquareId, default_square_side
 from .schedule import PHASES_PER_SLOT, SOURCE_SLOT, NodeSchedule, Schedule, SquareSchedule
 from .twobit import NUM_PHASES, TwoBitBlocker, TwoBitOutcome, TwoBitReceiver, TwoBitSender
@@ -51,13 +42,6 @@ __all__ = [
     "Observation",
     "Protocol",
     "SILENCE",
-    "END_PHASE",
-    "OPAQUE_LISTEN",
-    "ActionSpec",
-    "PhaseContext",
-    "PhaseDrivenProtocol",
-    "action_spec",
-    "clone_machine",
     "SquareGrid",
     "SquareId",
     "default_square_side",

@@ -18,11 +18,10 @@ independently (with the existing epidemic and NeighborWatchRB machinery); the
 functions here derive, per device, whether the dual-mode protocol delivers,
 whether the delivery is correct, and what the end-to-end completion time is.
 The DUAL experiment driver (``repro.experiments.driver.DualModeDriver``) and
-the ``dualmode`` benchmark drive it.  Both underlying runs execute on the default
-cohort protocol runtime (``repro.sim.batch``) — the authenticated digest
-phase is NeighborWatchRB and shares each square's meta-node state machine —
-and because the runtime is bit-identical to the per-device oracle, nothing in
-the combination logic here needs to know which runtime produced the records.
+the ``dualmode`` benchmark drive it.  Both underlying runs execute on the
+default struct-of-arrays tier (``repro.sim.soa``), which is bit-identical to
+the per-device scalar oracle, so nothing in the combination logic here needs
+to know which tier produced the records.
 """
 
 from __future__ import annotations

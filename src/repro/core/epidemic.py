@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from ..registry import ProtocolPlugin, register_protocol
 from .messages import Bits, Frame, FrameKind, validate_bits
 from .protocol import NodeContext, Observation, Protocol
-from .runtime import OPAQUE_LISTEN, ActionSpec, PhaseContext, action_spec
 from .schedule import NodeSchedule
 
 __all__ = ["EpidemicConfig", "EpidemicNode"]
@@ -51,19 +50,8 @@ class EpidemicNode(Protocol):
     ``preloaded_message`` turns the device into a fake-message injector (a
     Byzantine "liar"): because the baseline performs no authentication at all,
     a single such device can poison every node it reaches first.
-
-    The legacy ``act``/``observe`` methods are the primary implementation
-    (the hot single-phase path stays allocation-free); only ``phase_act`` is
-    overridden explicitly, because the default adapter would embed *this*
-    device's id in the shared decision — the override returns the
-    member-independent ``(PAYLOAD, message)`` spec instead, and adoption
-    depends only on shared state, so the protocol is :attr:`shareable`.  In
-    practice the node-level TDMA coloring gives nearly every device a
-    distinct ``(own slot, listen set)`` pair, so epidemic cohorts are usually
-    singletons; the declaration matters for correctness, not speed.
     """
 
-    shareable = True
     soa_compilable = True
 
     def __init__(
@@ -107,17 +95,6 @@ class EpidemicNode(Protocol):
         slots = set(self._listen_slots)
         slots.add(self._my_slot)
         return sorted(slots)
-
-    def cohort_key(self):
-        """Post-setup state signature (fixes the interest set and transitions)."""
-        return (
-            self.config.rebroadcast_count,
-            self._my_slot,
-            frozenset(self._listen_slots),
-            self._message,
-            self._remaining_broadcasts,
-            self.context.message_length,
-        )
 
     def soa_state_spec(self, slot: int) -> Optional[dict]:
         """Role of this device in ``slot`` for the SoA compiler.
@@ -178,16 +155,6 @@ class EpidemicNode(Protocol):
             return None
         return Frame(FrameKind.PAYLOAD, self.context.node_id, tuple(payload))
 
-    def phase_act(self, ctx: PhaseContext) -> Optional[ActionSpec]:
-        adopted = self._message is not None
-        if ctx.slot == self._my_slot and ctx.phase == 0:
-            payload = self._decide_broadcast()
-            if payload is not None:
-                return action_spec(FrameKind.PAYLOAD, tuple(payload))
-        # Once adopted, observe() discards every observation — listening
-        # rounds are opaque and can no longer split a cohort.
-        return OPAQUE_LISTEN if adopted else None
-
     def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
         if self._message is not None:
             # Already adopted: nothing below can change any state (_adopt is a
@@ -226,8 +193,6 @@ class EpidemicPlugin(ProtocolPlugin):
     move one bit per round), which :meth:`airtime_multiplier` exposes so
     comparisons can weigh rounds by their on-air cost.
     """
-
-    protocol_classes = (EpidemicNode,)
 
     def build(self, config) -> EpidemicNode:
         return EpidemicNode(EpidemicConfig())

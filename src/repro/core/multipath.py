@@ -42,7 +42,6 @@ from ..registry import ProtocolPlugin, register_protocol
 from .messages import Bits, ControlCodec, ControlMessage, ControlType, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
-from .runtime import ActionSpec, PhaseContext, action_spec
 from .schedule import SOURCE_SLOT, NodeSchedule
 from .twobit import TwoBitBlocker
 
@@ -98,29 +97,12 @@ class MultiPathNode(Protocol):
     bits) while otherwise running the correct protocol; combined with
     ``relay_heard=False`` in their config this matches Section 6.1 exactly.
 
-    The state machine is expressed through the phase-machine API.  The commit
-    rule (:meth:`_check_commit`) and HEARD-cause resolution measure distances
-    from *this device's position*, so plain state-keyed sharing is unsound —
-    but every one of those distance comparisons is answered by the device's
-    *region profile* (:func:`~repro.core.regions.region_profile_of`): the
-    R-ball membership set and the per-slot ``2R`` owner views.  The protocol
-    therefore declares itself ``shareable`` under the opt-in
-    :attr:`~repro.core.protocol.Protocol.position_cohort_attr` contract — the
-    cohort runtime groups two devices only when their profiles (and states,
-    via :meth:`cohort_key`) are equal, which under the paper's standard ``3R``
-    slot separation degenerates to singletons (the historical behaviour) but
-    batches genuinely position-equivalent devices in dense deployments.
-
-    The transitions consume only channel activity
-    (``shared_observation_attr = "busy"``) and no randomness, and the slot
-    machinery is the same 2Bit/1Hop stack as NeighborWatchRB, so the protocol
-    is also ``soa_compilable``: deterministic unit-disk slots lower to the
-    struct-of-arrays kernels of :mod:`repro.sim.soa`.
+    The transitions consume only channel activity (``observation.busy``) and
+    no randomness, and the slot machinery is the same 2Bit/1Hop stack as
+    NeighborWatchRB, so the protocol is ``soa_compilable``: its slots lower
+    to the struct-of-arrays kernels of :mod:`repro.sim.soa`.
     """
 
-    shareable = True
-    shared_observation_attr = "busy"
-    position_cohort_attr = "region_profile"
     soa_compilable = True
 
     def __init__(
@@ -145,7 +127,6 @@ class MultiPathNode(Protocol):
         self._my_slot = -1
         self._is_source = False
         self._delivered_message: Optional[Bits] = None
-        self._region_profile_cache: Optional[tuple] = None
 
     # -- setup -----------------------------------------------------------------------------
     def setup(self, context: NodeContext) -> None:
@@ -214,46 +195,7 @@ class MultiPathNode(Protocol):
         slots.add(self._my_slot)
         return sorted(slots)
 
-    # -- cohort runtime hooks ----------------------------------------------------------------------
-    @property
-    def region_profile(self) -> tuple:
-        """Region-derived view of this device's position (lazily computed).
-
-        Exposed through :attr:`position_cohort_attr` so the cohort runtime
-        folds it into the grouping key; computed on first access because the
-        profile scans every slot's owners and is only needed when cohort
-        grouping runs.
-        """
-        cached = self._region_profile_cache
-        if cached is None:
-            from .regions import region_profile_of
-
-            cached = region_profile_of(self._schedule, self.context.position, self.context.radius)
-            self._region_profile_cache = cached
-        return cached
-
-    def cohort_key(self):
-        """Everything that distinguishes this device's post-setup state.
-
-        For honest non-source devices the dynamic state (votes, commits,
-        streams) is empty at construction, so the slot assignment, the
-        receiver slot/peer maps and the configuration fully determine the
-        machine; the source and preloaded (lying) devices hold different
-        initial commitments and are keyed apart.  Position equivalence is
-        *not* captured here — the runtime folds :attr:`region_profile` in
-        separately via :attr:`position_cohort_attr`.
-        """
-        return (
-            self.config.tolerance,
-            self.config.relay_heard,
-            self.config.idle_veto,
-            self._my_slot,
-            tuple(sorted(self._peer_of_slot.items())),
-            self._is_source,
-            self._preloaded,
-            self.context.message_length,
-        )
-
+    # -- struct-of-arrays lowering ----------------------------------------------------------------
     def soa_state_spec(self, slot: int) -> Optional[dict]:
         """Role of this device in ``slot`` for the SoA compiler."""
         if slot == self._my_slot:
@@ -286,24 +228,23 @@ class MultiPathNode(Protocol):
             self._role = _Role.RECEIVER
             self._active_receiver = receiver
 
-    def _act_core(self, slot: int, phase: int) -> Optional[FrameKind]:
-        """One transmit decision: the frame kind to broadcast, or ``None``."""
+    # -- engine-facing entry points ---------------------------------------------------------------------
+    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
         if phase == 0:
             self._begin_slot(slot)
-        transmit = False
-        kind = FrameKind.DATA_BIT
         if self._role is _Role.SENDER:
-            transmit = self._sender.action(phase)
-            kind = FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO
+            if self._sender.action(phase):
+                return self._interned_frame(FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO)
         elif self._role is _Role.BLOCKER and self._blocker is not None:
-            transmit = self._blocker.action(phase)
-            kind = FrameKind.VETO
+            if self._blocker.action(phase):
+                return self._interned_frame(FrameKind.VETO)
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
-            transmit = self._active_receiver.action(phase)
-            kind = FrameKind.ACK if phase in (1, 3) else FrameKind.VETO
-        return kind if transmit else None
+            if self._active_receiver.action(phase):
+                return self._interned_frame(FrameKind.ACK if phase in (1, 3) else FrameKind.VETO)
+        return None
 
-    def _observe_core(self, phase: int, busy: bool) -> None:
+    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
+        busy = observation.busy
         if self._role is _Role.SENDER:
             self._sender.observe(phase, busy)
         elif self._role is _Role.BLOCKER and self._blocker is not None:
@@ -311,7 +252,7 @@ class MultiPathNode(Protocol):
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
             self._active_receiver.observe(phase, busy)
 
-    def _end_core(self, slot: int) -> None:
+    def end_slot(self, slot_cycle: int, slot: int) -> None:
         if self._role is _Role.SENDER:
             self._sender.finish_slot()
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
@@ -320,27 +261,6 @@ class MultiPathNode(Protocol):
         self._role = _Role.IDLE
         self._active_receiver = None
         self._blocker = None
-
-    # -- engine-facing entry points (per-device and phase-machine) ---------------------------
-    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
-        kind = self._act_core(slot, phase)
-        return None if kind is None else self._interned_frame(kind)
-
-    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
-        self._observe_core(phase, observation.busy)
-
-    def end_slot(self, slot_cycle: int, slot: int) -> None:
-        self._end_core(slot)
-
-    def phase_act(self, ctx: PhaseContext) -> Optional[ActionSpec]:
-        kind = self._act_core(ctx.slot, ctx.phase)
-        return None if kind is None else action_spec(kind)
-
-    def phase_observe(self, ctx: PhaseContext, observation: Observation) -> None:
-        self._observe_core(ctx.phase, observation.busy)
-
-    def phase_end(self, ctx: PhaseContext) -> None:
-        self._end_core(ctx.slot)
 
     # -- control-message processing ---------------------------------------------------------------------
     def _drain_stream(self, slot: int) -> None:
@@ -457,8 +377,6 @@ class MultiPathPlugin(ProtocolPlugin):
     hop of pipeline progress costs a frame's worth of successful slots —
     :meth:`bits_per_hop` scales the generous round cap accordingly.
     """
-
-    protocol_classes = (MultiPathNode,)
 
     def build(self, config) -> MultiPathNode:
         return MultiPathNode(

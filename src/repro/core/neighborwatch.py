@@ -42,7 +42,6 @@ from .messages import Bits, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
 from .regions import SquareGrid
-from .runtime import END_PHASE, OPAQUE_LISTEN, PhaseContext, action_spec
 from .schedule import SOURCE_SLOT, SquareSchedule
 from .twobit import TwoBitBlocker
 
@@ -86,19 +85,13 @@ class NeighborWatchConfig:
 class NeighborWatchNode(Protocol):
     """Per-device behaviour of NeighborWatchRB.
 
-    The state machine exists once, as the ``_act_core``/``_observe_core``/
-    ``_end_core`` transitions, with two equally thin entry points: the legacy
-    per-device ``act``/``observe``/``end_slot`` interface (oracle engine
-    path) and the typed phase-machine interface ``phase_act``/
-    ``phase_observe``/``phase_end`` used by the cohort runtime.
-    NeighborWatchRB is the paper's meta-node protocol — all honest devices of
-    a square behave identically until their observations diverge — and its
-    transitions consume no randomness and never consult the device identity
-    after setup, so it is :attr:`shareable`: the cohort runtime evaluates one
-    machine per group of state-identical square members.  The transitions
-    consume only channel *activity* (``shared_observation_attr = "busy"``),
-    so members that decode different frames but agree on activity stay
-    shared.
+    NeighborWatchRB is the paper's meta-node protocol: all honest devices of
+    a square behave identically until their observations diverge.  Its
+    transitions consume no randomness and only channel *activity*
+    (``observation.busy``), so it is ``soa_compilable``: the struct-of-arrays
+    kernels of :mod:`repro.sim.soa` execute a square's members as packed
+    bitmasks.  ``act``/``observe``/``end_slot`` are the per-device state
+    machine, which is the scalar oracle those kernels are pinned against.
 
     Parameters
     ----------
@@ -112,8 +105,6 @@ class NeighborWatchNode(Protocol):
         otherwise run the correct protocol.
     """
 
-    shareable = True
-    shared_observation_attr = "busy"
     soa_compilable = True
 
     def __init__(
@@ -130,7 +121,6 @@ class NeighborWatchNode(Protocol):
         self._role: _Role = _Role.IDLE
         self._active_receiver: Optional[OneHopReceiver] = None
         self._blocker: Optional[TwoBitBlocker] = None
-        self._sending_active = False
         self._my_slot: int = -1
         self._is_source = False
         self._delivered_message: Optional[Bits] = None
@@ -184,26 +174,6 @@ class NeighborWatchNode(Protocol):
         slots.add(self._my_slot)
         return sorted(slots)
 
-    def cohort_key(self):
-        """Everything that distinguishes this device's post-setup state.
-
-        Devices of the same square share ``_my_slot`` and the neighbor-square
-        receiver slots; whether the *source* receiver is present depends on
-        the device's distance to the source, so the receiver slot set is part
-        of the key (it also fixes the interest set).  Preloaded (lying)
-        devices and the source hold different initial commitments and are
-        keyed apart; config parameters change the transition function itself.
-        """
-        return (
-            self.config.votes_required,
-            self.config.idle_veto,
-            self._my_slot,
-            frozenset(self._receivers),
-            self._is_source,
-            self._preloaded,
-            self.context.message_length,
-        )
-
     def soa_state_spec(self, slot: int) -> Optional[dict]:
         """Role of this device in ``slot`` for the SoA compiler.
 
@@ -233,12 +203,11 @@ class NeighborWatchNode(Protocol):
         self._role = _Role.IDLE
         self._active_receiver = None
         self._blocker = None
-        self._sending_active = False
 
         if slot == self._my_slot:
             if self._sender.has_pending:
                 self._role = _Role.SENDER
-                self._sending_active = self._sender.begin_slot()
+                self._sender.begin_slot()
             elif self.config.idle_veto:
                 self._role = _Role.BLOCKER
                 self._blocker = TwoBitBlocker(always=True)
@@ -255,49 +224,26 @@ class NeighborWatchNode(Protocol):
             else:
                 self._role = _Role.IDLE
 
-    # -- phase machine (primary) and per-device adapters -----------------------------------
-    # The phase_* transitions hold the logic directly (no inner-core
-    # indirection): the cohort runtime calls them once per cohort per round,
-    # so a wrapper frame there costs more than the per-device ``act`` adapter
-    # does on the rarely-taken singleton/oracle path.
-    def phase_act(self, ctx: PhaseContext):
-        """Transmit decision plus observation relevance for one round.
-
-        Listening rounds return ``None`` only when the observation can reach
-        state the role actually consumes (a sender's ack/veto rounds, a
-        receiver's data/veto rounds, a *conditional* blocker's sensing
-        rounds); every other listened round is
-        :data:`~repro.core.runtime.OPAQUE_LISTEN` — the 2Bit sub-machines
-        discard those observations, so cohort members may perceive different
-        marginal activity there without diverging.
-        """
-        phase = ctx.phase
+    # -- per-round behaviour ------------------------------------------------------------------
+    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
         if phase == 0:
-            self._begin_slot(ctx.slot)
+            self._begin_slot(slot)
         role = self._role
         if role is _Role.SENDER:
             if self._sender.action(phase):
-                return action_spec(FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO)
-            return None if phase in (1, 3, 5) else OPAQUE_LISTEN
-        if role is _Role.BLOCKER:
+                return self._interned_frame(FrameKind.DATA_BIT if phase in (0, 2) else FrameKind.VETO)
+        elif role is _Role.BLOCKER:
             blocker = self._blocker
-            if blocker is not None:
-                if blocker.action(phase):
-                    return action_spec(FrameKind.VETO)
-                if not blocker.always and phase < 4:
-                    return None
-            return OPAQUE_LISTEN
-        if role is _Role.RECEIVER:
+            if blocker is not None and blocker.action(phase):
+                return self._interned_frame(FrameKind.VETO)
+        elif role is _Role.RECEIVER:
             receiver = self._active_receiver
-            if receiver is not None:
-                if receiver.action(phase):
-                    return action_spec(FrameKind.ACK if phase in (1, 3) else FrameKind.VETO)
-                return None if phase in (0, 2, 4) else OPAQUE_LISTEN
-        return OPAQUE_LISTEN
+            if receiver is not None and receiver.action(phase):
+                return self._interned_frame(FrameKind.ACK if phase in (1, 3) else FrameKind.VETO)
+        return None
 
-    def phase_observe(self, ctx: PhaseContext, observation: Observation) -> None:
+    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
         busy = observation.busy
-        phase = ctx.phase
         if self._role is _Role.SENDER:
             self._sender.observe(phase, busy)
         elif self._role is _Role.BLOCKER and self._blocker is not None:
@@ -305,86 +251,15 @@ class NeighborWatchNode(Protocol):
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
             self._active_receiver.observe(phase, busy)
 
-    def phase_end(self, ctx: PhaseContext) -> None:
+    def end_slot(self, slot_cycle: int, slot: int) -> None:
         if self._role is _Role.SENDER:
-            if self._sender.finish_slot():
-                self._cohort_state_dirty = True
+            self._sender.finish_slot()
         elif self._role is _Role.RECEIVER and self._active_receiver is not None:
-            # Signature-relevant state only moves when the exchange accepted a
-            # new bit (commits and the outgoing queue are derived from the
-            # receiver streams), so that is the re-merge dirty trigger.
-            if self._active_receiver.finish_slot() is not None:
-                self._cohort_state_dirty = True
+            self._active_receiver.finish_slot()
             self._update_commits()
         self._role = _Role.IDLE
         self._active_receiver = None
         self._blocker = None
-
-    def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
-        spec = self.phase_act(PhaseContext(slot_cycle, slot, phase))
-        if spec is None or spec is OPAQUE_LISTEN:
-            return None
-        return self._interned_frame(spec.kind)
-
-    def observe(self, slot_cycle: int, slot: int, phase: int, observation: Observation) -> None:
-        self.phase_observe(PhaseContext(slot_cycle, slot, phase), observation)
-
-    def end_slot(self, slot_cycle: int, slot: int) -> None:
-        self.phase_end(PhaseContext(slot_cycle, slot, END_PHASE))
-
-    def state_signature(self) -> tuple:
-        """Slot-boundary state for cohort re-merging.
-
-        Between slots the per-slot role machinery is reset, so the committed
-        prefix, the outgoing stream watermark and the per-neighbor receiver
-        streams are the complete behaviour-relevant state.  A member that
-        missed a bit re-converges with its siblings once the retransmission
-        lands, at which point the signatures agree again and the runtime may
-        re-merge the split cohorts.  Receiver order is positional: every
-        member of a family builds ``_receivers`` by the same deterministic
-        setup walk (and clones preserve insertion order), so no sorting is
-        needed in this hot helper.
-        """
-        return (
-            tuple(self._committed),
-            self._sender.state_signature(),
-            tuple(r.state_signature() for r in self._receivers.values()),
-        )
-
-    def clone_for_split(self) -> "NeighborWatchNode":
-        """Native state copy for cohort splits (mid-slot safe).
-
-        Shares the immutable collaborators (config, schedule, preloaded
-        message) and hand-copies the genuinely per-device state; the in-slot
-        aliases (``_active_receiver`` pointing into ``_receivers``) are
-        re-established against the copies.  ~30x faster than the generic
-        ``copy.deepcopy`` fallback, which matters because splits happen
-        inside the simulation hot path.
-        """
-        clone = type(self).__new__(type(self))
-        clone.config = self.config
-        clone._preloaded = self._preloaded
-        clone._committed = list(self._committed)
-        clone._sender = self._sender.clone()
-        clone._role = self._role
-        clone._blocker = None if self._blocker is None else self._blocker.clone()
-        clone._sending_active = self._sending_active
-        clone._my_slot = self._my_slot
-        clone._is_source = self._is_source
-        clone._delivered_message = self._delivered_message
-        clone._schedule = self._schedule
-        clone.context = self.context
-        clone._frame_cache = None
-        receivers = {}
-        active = None
-        for slot, receiver in self._receivers.items():
-            copy_receiver = receiver.clone()
-            receivers[slot] = copy_receiver
-            if receiver is self._active_receiver:
-                active = copy_receiver
-        clone._receivers = receivers
-        clone._active_receiver = active
-        return clone
 
     # -- commit logic -------------------------------------------------------------------------
     def _update_commits(self) -> None:
@@ -465,7 +340,6 @@ class NeighborWatchPlugin(ProtocolPlugin):
     """
 
     votes_required = 1
-    protocol_classes = (NeighborWatchNode,)
 
     def build(self, config) -> NeighborWatchNode:
         return NeighborWatchNode(

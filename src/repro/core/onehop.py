@@ -105,18 +105,6 @@ class OneHopSender:
             return None
         return (self._current.b1, self._current.b2)
 
-    def state_signature(self) -> tuple:
-        """Behaviour-relevant state for cohort re-merging (slot boundaries only).
-
-        The queue and the delivered watermark fully determine every future
-        action: the next pair is derived from them, and ``_current`` is always
-        ``None`` between slots.  Attempt/success tallies are statistics — two
-        senders that differ only there behave identically — so they are
-        deliberately excluded, letting transiently diverged cohort members
-        re-merge.
-        """
-        return (tuple(self._bits), self._sent_count)
-
     # -- SoA kernel accessors -----------------------------------------------------------
     def soa_current_pair(self) -> tuple[int, int]:
         """``(parity, data)`` of the next pending bit, without allocating.
@@ -136,19 +124,9 @@ class OneHopSender:
 
         Bypasses ``begin_slot``/``finish_slot``, so the attempt/success
         tallies are not maintained on the SoA tier — they are statistics
-        excluded from :meth:`state_signature` for exactly that reason.
+        that no transition reads, so no record depends on them.
         """
         self._sent_count += 1
-
-    def clone(self) -> "OneHopSender":
-        """Independent state-identical copy (cohort splits, possibly mid-slot)."""
-        other = OneHopSender.__new__(OneHopSender)
-        other._bits = list(self._bits)
-        other._sent_count = self._sent_count
-        other._attempts = self._attempts
-        other._successful_slots = self._successful_slots
-        other._current = None if self._current is None else self._current.clone()
-        return other
 
     # -- slot lifecycle ----------------------------------------------------------------
     def begin_slot(self) -> bool:
@@ -262,16 +240,6 @@ class OneHopReceiver:
         """Bits received beyond ``already_consumed`` (helper for stream consumers)."""
         return tuple(self._received[already_consumed:])
 
-    def state_signature(self) -> tuple:
-        """Behaviour-relevant state for cohort re-merging (slot boundaries only).
-
-        The accepted stream determines the expected parity and the
-        completion check; failure/ignore tallies are statistics and excluded
-        (a member whose exchange failed and one that ignored a stale
-        retransmission hold the same stream and behave identically).
-        """
-        return tuple(self._received)
-
     # -- SoA kernel accessor ------------------------------------------------------------
     def soa_append(self, data: int) -> None:
         """Append an accepted data bit (SoA kernel accept path).
@@ -282,17 +250,6 @@ class OneHopReceiver:
         the accepted stream — the behaviour-relevant state — is.
         """
         self._received.append(data)
-
-    def clone(self) -> "OneHopReceiver":
-        """Independent state-identical copy (cohort splits, possibly mid-slot)."""
-        other = OneHopReceiver.__new__(OneHopReceiver)
-        other._expected_length = self._expected_length
-        other._received = list(self._received)
-        other._current = None if self._current is None else self._current.clone()
-        other._failed_slots = self._failed_slots
-        other._accepted_slots = self._accepted_slots
-        other._ignored_slots = self._ignored_slots
-        return other
 
     # -- slot lifecycle -------------------------------------------------------------------
     def begin_slot(self) -> bool:

@@ -26,12 +26,11 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .messages import Bits, Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .runtime import ActionSpec, PhaseContext
     from .schedule import Schedule
 
 __all__ = [
@@ -131,54 +130,28 @@ class Protocol(abc.ABC):
     #: Lazily-built per-instance cache for :meth:`_interned_frame`.
     _frame_cache: Optional[dict] = None
 
-    #: Set by protocols whenever a slot changed signature-relevant state
-    #: (e.g. a receiver accepted a bit).  The cohort runtime only attempts a
-    #: re-merge of a fragmented family when at least one sibling is dirty —
-    #: unchanged signatures cannot have become equal, so the (comparatively
-    #: costly) :meth:`state_signature` evaluation is skipped.  The class
-    #: default ``True`` makes the first attempt after a split/clone safe.
-    _cohort_state_dirty: bool = True
-
     #: Whether the device may transmit during slots it declared no interest in.
     #: Honest protocols never do; jamming adversaries set this to ``True`` so
     #: the engine asks them (via :meth:`wants_slot`) about every slot.
     may_transmit_anywhere: bool = False
 
-    #: Whether this device's state machine may be *shared* by the cohort
-    #: runtime: evaluated once for a group of state-identical devices and
-    #: fanned out.  Only protocols whose phase transitions are pure functions
-    #: of ``(state, observations)`` — no RNG, no post-setup dependence on the
-    #: device identity or position — may set this (see the shareability
-    #: contract in :mod:`repro.core.runtime`).  Adversaries must keep it
-    #: ``False``; the runtime additionally never shares dishonest devices.
-    shareable: bool = False
-
-    #: Name of the single :class:`Observation` attribute this protocol's
-    #: transitions consume, or ``None`` when they may read the whole
-    #: observation.  The cohort runtime splits a cohort only when the
-    #: *projected* observations of its members differ: NeighborWatchRB's
-    #: state machines react purely to channel activity (``"busy"``), so two
-    #: square members that respectively decode a frame and perceive a
-    #: collision still transition identically and stay shared.  Declaring a
-    #: projection that the transitions secretly exceed breaks bit-identity —
-    #: leave it ``None`` unless the restriction provably holds.
-    shared_observation_attr: Optional[str] = None
-
-    #: Name of an instance attribute holding a hashable *region profile*, or
-    #: ``None``.  When set, the cohort runtime folds ``getattr(self, attr)``
-    #: into the grouping key next to :meth:`cohort_key` — the opt-in contract
-    #: for protocols whose transitions depend on position only *through* the
-    #: paper's region decomposition (MultiPathRB's commit rule).  Two devices
-    #: may then share a machine exactly when their region-derived views are
-    #: equal, without the position itself entering :meth:`cohort_key`.
-    position_cohort_attr: Optional[str] = None
-
     #: Whether this protocol family can be lowered to the struct-of-arrays
-    #: execution tier (:mod:`repro.sim.soa`).  Only phase machines whose
-    #: transitions consume no RNG and read nothing of an observation beyond
-    #: :attr:`shared_observation_attr` may set this — see the SoA lowering
-    #: contract in :mod:`repro.core.runtime`.  Compilation additionally
-    #: requires the class to provide :meth:`soa_state_spec`.
+    #: execution tier (:mod:`repro.sim.soa`).  A family may set this only when
+    #:
+    #: * its transitions consume **no randomness** and read nothing of an
+    #:   observation beyond ``busy`` or — for payload protocols such as the
+    #:   epidemic counters — the decoded frame of an uncontended round;
+    #: * a slot's evolution is a closed function of the group's state: every
+    #:   device whose state the slot can change declares the slot in its
+    #:   interest set, so the compiler sees the full support of the
+    #:   transition; and
+    #: * the slot kernel mutates the **same protocol objects** the scalar
+    #:   loop would, keeping no shadow state beyond per-slot role masks that
+    #:   are recomputable from the objects — which is what lets any slot
+    #:   occurrence fall back to the scalar loop (adversary extras) and
+    #:   resume compiled execution afterwards.
+    #:
+    #: Compilation additionally requires :meth:`soa_state_spec`.
     soa_compilable: bool = False
 
     def setup(self, context: NodeContext) -> None:
@@ -218,41 +191,6 @@ class Protocol(abc.ABC):
             cache[kind] = frame
         return frame
 
-    # -- cohort runtime hooks ---------------------------------------------------
-    def cohort_key(self) -> Optional[Hashable]:
-        """Hashable signature of this device's post-setup state, or ``None``.
-
-        Two :attr:`shareable` devices whose keys compare equal are grouped
-        into one cohort by the runtime and MUST be interchangeable state
-        machines: the key has to capture every post-setup state difference,
-        including the interest set.  ``None`` (the default) keeps the device
-        a singleton.
-        """
-        return None
-
-    def clone_for_split(self) -> Optional["Protocol"]:
-        """Native state copy for cohort splits, or ``None`` for the deepcopy fallback.
-
-        Protocols on the simulation hot path implement this by hand (copying
-        their mutable state, sharing immutable collaborators, re-establishing
-        internal aliases); :func:`repro.core.runtime.clone_machine` falls back
-        to a memo-seeded ``copy.deepcopy`` when it returns ``None``.
-        """
-        return None
-
-    def state_signature(self) -> Optional[tuple]:
-        """Canonical signature of all behaviour-relevant protocol state, or ``None``.
-
-        Evaluated by the cohort runtime at slot boundaries to *re-merge*
-        sibling cohorts whose states have reconverged (e.g. a receiver that
-        missed a bit and caught up on the retransmission).  Two machines with
-        equal signatures must behave identically forever after; statistics
-        that never influence a transition (attempt counters, failure tallies)
-        should be excluded so transient divergences can heal.  ``None`` (the
-        default) disables re-merging for the protocol.
-        """
-        return None
-
     # -- struct-of-arrays lowering hook -----------------------------------------
     def soa_state_spec(self, slot: int) -> Optional[dict]:
         """Description of this instance's role in a compiled SoA slot group.
@@ -267,20 +205,6 @@ class Protocol(abc.ABC):
         """
         return None
 
-    def shared_on_clone(self) -> tuple:
-        """Collaborators to share (not copy) when the runtime clones this machine.
-
-        Cohort splits deep-copy the shared state machine per observation
-        class; everything returned here is pre-seeded into the deepcopy memo
-        so large immutable structures (the schedule with its position arrays,
-        the node context, config objects) are never duplicated.
-        """
-        shared: list = [self.context, self.context.schedule]
-        config = getattr(self, "config", None)
-        if config is not None:
-            shared.append(config)
-        return tuple(shared)
-
     # -- per-round behaviour ---------------------------------------------------
     @abc.abstractmethod
     def act(self, slot_cycle: int, slot: int, phase: int) -> Optional[Frame]:
@@ -293,30 +217,6 @@ class Protocol(abc.ABC):
     def end_slot(self, slot_cycle: int, slot: int) -> None:  # pragma: no cover - default
         """Called by the engine after the last phase of every slot the device
         participated in; protocols finalise their per-slot state machines here."""
-
-    # -- phase-machine contract -------------------------------------------------
-    # Default adapters expressing the typed phase API in terms of the legacy
-    # per-device methods, so every protocol satisfies the PhaseContext
-    # contract.  Protocols that participate in shared execution invert the
-    # delegation by mixing in :class:`repro.core.runtime.PhaseDrivenProtocol`
-    # and implementing ``phase_*`` as the primary state machine.  Exactly one
-    # direction may be primary per class — implementing neither recurses.
-    def phase_act(self, ctx: "PhaseContext") -> Optional["ActionSpec"]:
-        """Member-independent transmit decision for one round, or ``None``."""
-        from .runtime import action_spec
-
-        frame = self.act(ctx.slot_cycle, ctx.slot, ctx.phase)
-        if frame is None:
-            return None
-        return action_spec(frame.kind, frame.payload)
-
-    def phase_observe(self, ctx: "PhaseContext", observation: Observation) -> None:
-        """Deliver the channel observation for a listened round."""
-        self.observe(ctx.slot_cycle, ctx.slot, ctx.phase, observation)
-
-    def phase_end(self, ctx: "PhaseContext") -> None:
-        """Finalise the slot (``ctx.phase`` is :data:`repro.core.runtime.END_PHASE`)."""
-        self.end_slot(ctx.slot_cycle, ctx.slot)
 
     # -- outcome ---------------------------------------------------------------
     @property

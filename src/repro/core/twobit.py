@@ -81,11 +81,6 @@ class _PhaseTracker:
     def __init__(self) -> None:
         self._next = 0
 
-    def clone(self) -> "_PhaseTracker":
-        other = _PhaseTracker()
-        other._next = self._next
-        return other
-
     def check(self, phase: int) -> None:
         if phase != self._next:
             raise ValueError(f"phase {phase} out of order; expected phase {self._next}")
@@ -120,23 +115,6 @@ class TwoBitSender:
         self._veto_sent = False
         self._final_busy: Optional[bool] = None
         self._phase = _PhaseTracker()
-
-    def clone(self) -> "TwoBitSender":
-        """Mid-exchange copy for cohort splits (state-identical, independent).
-
-        Hand-rolled rather than ``copy.deepcopy``: splits happen inside the
-        simulation hot path and the generic machinery is ~30x slower for
-        these small fixed-slot machines.
-        """
-        other = TwoBitSender.__new__(TwoBitSender)
-        other.b1 = self.b1
-        other.b2 = self.b2
-        other._ack1_busy = self._ack1_busy
-        other._ack2_busy = self._ack2_busy
-        other._veto_sent = self._veto_sent
-        other._final_busy = self._final_busy
-        other._phase = self._phase.clone()
-        return other
 
     # -- driving ------------------------------------------------------------------
     def action(self, phase: int) -> bool:
@@ -208,17 +186,6 @@ class TwoBitReceiver:
         self._ack1_sent = False
         self._ack2_sent = False
         self._veto_relayed = False
-
-    def clone(self) -> "TwoBitReceiver":
-        """Mid-exchange copy for cohort splits (see :meth:`TwoBitSender.clone`)."""
-        other = TwoBitReceiver.__new__(TwoBitReceiver)
-        other._heard1 = self._heard1
-        other._heard2 = self._heard2
-        other._heard_veto = self._heard_veto
-        other._ack1_sent = self._ack1_sent
-        other._ack2_sent = self._ack2_sent
-        other._veto_relayed = self._veto_relayed
-        return other
 
     # -- driving ------------------------------------------------------------------
     def action(self, phase: int) -> bool:
@@ -294,13 +261,6 @@ class TwoBitBlocker:
     def __init__(self, always: bool = True) -> None:
         self.always = bool(always)
         self._heard_activity = False
-
-    def clone(self) -> "TwoBitBlocker":
-        """Mid-slot copy for cohort splits (see :meth:`TwoBitSender.clone`)."""
-        other = TwoBitBlocker.__new__(TwoBitBlocker)
-        other.always = self.always
-        other._heard_activity = self._heard_activity
-        return other
 
     def action(self, phase: int) -> bool:
         if phase in (4, 5):

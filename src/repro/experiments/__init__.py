@@ -5,11 +5,9 @@ Experiments are :class:`~repro.experiments.spec.ExperimentSpec` *data*
 generic drivers (:mod:`repro.experiments.driver`) against the open component
 registries of :mod:`repro.registry`.  User scenarios ship as ~20-line JSON or
 TOML files run with ``python -m repro.experiments run --spec FILE`` — see the
-``examples/specs/`` directory.
-
-The historical typed surface (``CrashResilienceSpec`` + ``run_crash_resilience``
-and friends) is preserved in :mod:`repro.experiments.compat` as thin wrappers
-over the same machinery.
+``examples/specs/`` directory.  From Python, run a built-in with
+``run_experiment(ID, scale=...)`` or a variant of it with
+``run_spec(get_spec(ID), scale=..., overrides={...})``.
 """
 
 from ..sim.runner import SweepExecutor, SweepTask
@@ -23,24 +21,6 @@ from .builtin import (
     FIG7_SPEC,
     JAM_SPEC,
     MAPSZ_SPEC,
-)
-from .compat import (
-    ClusteredSpec,
-    CrashResilienceSpec,
-    DensityToleranceSpec,
-    DualModeSpec,
-    EpidemicComparisonSpec,
-    JammingSpec,
-    LyingSpec,
-    MapSizeSpec,
-    run_clustered,
-    run_crash_resilience,
-    run_density_tolerance,
-    run_dual_mode,
-    run_epidemic_comparison,
-    run_jamming,
-    run_lying,
-    run_map_size,
 )
 from .driver import describe_spec, run_spec
 from .metrics import airtime_bits, fit_linear_trend, linear_scaling_error
@@ -67,25 +47,9 @@ __all__ = [
     "MAPSZ_SPEC",
     "EPID_SPEC",
     "DUAL_SPEC",
-    "ClusteredSpec",
-    "run_clustered",
-    "CrashResilienceSpec",
-    "run_crash_resilience",
-    "DensityToleranceSpec",
-    "run_density_tolerance",
-    "DualModeSpec",
-    "EpidemicComparisonSpec",
     "airtime_bits",
-    "run_dual_mode",
-    "run_epidemic_comparison",
-    "JammingSpec",
     "fit_linear_trend",
-    "run_jamming",
-    "LyingSpec",
-    "run_lying",
-    "MapSizeSpec",
     "linear_scaling_error",
-    "run_map_size",
     "EXPERIMENTS",
     "available_experiments",
     "run_experiment",

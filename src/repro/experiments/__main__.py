@@ -15,15 +15,13 @@ Subcommands::
     python -m repro.experiments status --queue /shared/q GROUP
     python -m repro.experiments watch --queue /shared/q GROUP
 
-``list`` prints the registered experiment identifiers; ``describe`` prints
+``list`` (also the default without a subcommand) prints the registered
+experiment identifiers; ``describe`` prints
 the resolved spec (parameters after scale overrides, axes, grid size) without
 running anything; ``run`` executes a registered experiment — or any
 user-authored JSON/TOML spec file via ``--spec FILE`` (see
 :mod:`repro.experiments.spec` for the format and ``examples/specs/`` for a
 template).
-
-The pre-PR 5 flag forms (``python -m repro.experiments FIG5 --scale small``,
-``--list``) keep working as deprecated aliases for ``run`` / ``list``.
 
 Usage errors — an unknown experiment id, an unknown scale, a malformed or
 unreadable spec file, contradictory cache flags — exit with code 2 and print
@@ -81,8 +79,6 @@ from .registry import EXPERIMENTS, get_spec
 from .spec import ExperimentSpec, SpecValidationError, load_spec
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = ("run", "list", "describe", "submit", "serve", "status", "watch")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,30 +263,6 @@ def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
         help="run a user-authored JSON/TOML ExperimentSpec file instead of a "
         "registered identifier",
     )
-
-
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Map the deprecated flag forms onto the subcommand grammar.
-
-    Anything that does not start with a subcommand becomes a ``run`` alias —
-    both the bare-id form (``FIG5 --scale small``) and the flag-first form
-    the pre-PR 5 parser accepted (``--scale small FIG5``) — except
-    ``-h``/``--help``, which stay with the top-level parser so the subcommand
-    overview remains reachable.
-    """
-    argv = list(argv)
-    if not argv:
-        return ["list"]
-    if "--list" in argv:
-        return ["list"]
-    if argv[0] in _SUBCOMMANDS or argv[0] in ("-h", "--help"):
-        return argv
-    print(
-        "note: 'python -m repro.experiments [flags] <ID>' is deprecated; "
-        "use 'python -m repro.experiments run <ID> [flags]' (see also: list, describe)",
-        file=sys.stderr,
-    )
-    return ["run", *argv]
 
 
 def _resolve_spec(args) -> ExperimentSpec:
@@ -613,8 +585,8 @@ def _command_watch(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv if argv is not None else sys.argv[1:])))
-    if args.command == "list":
+    args = parser.parse_args(argv)
+    if args.command in (None, "list"):
         print(_list_experiments())
         return 0
     if args.command == "describe":

@@ -367,20 +367,20 @@ def _tier_lines(context: Mapping[str, Any]) -> list[str]:
         probe = FriisChannel(radius, loss_probability=loss)
     else:
         return [
-            "execution tier: cohort runtime (struct-of-arrays kernels ineligible)",
+            "execution tier: scalar oracle (struct-of-arrays kernels ineligible)",
             f"  - channel: {channel} defines no SoA busy model",
         ]
     support = probe.soa_round_support()
     if support.eligible:
         lines = [
             f"execution tier: struct-of-arrays slot kernels ({support.busy} busy "
-            "model; REPRO_SOA_KERNELS=0 falls back to the cohort runtime)"
+            "model; REPRO_SOA_KERNELS=0 falls back to the scalar oracle)"
         ]
         lines.extend(
             f"  {name}: {reason}" for name, _ok, reason in support.verdicts
         )
     else:
-        lines = ["execution tier: cohort runtime (struct-of-arrays kernels ineligible)"]
+        lines = ["execution tier: scalar oracle (struct-of-arrays kernels ineligible)"]
         lines.extend(f"  - {name}: {reason}" for name, reason in support.blockers())
     jammers = context.get("num_jammers") or context.get("jammer_fraction")
     if jammers and support.eligible:

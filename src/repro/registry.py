@@ -31,7 +31,6 @@ Usage::
 
     @register_protocol("myproto", aliases=("mp2",))
     class MyProtocolPlugin(ProtocolPlugin):
-        protocol_classes = (MyProtocolNode,)
         def build(self, config): ...
         def build_liar(self, config, fake_message): ...
         def build_schedule(self, deployment, config): ...
@@ -42,8 +41,8 @@ raises a :class:`RegistryError` listing every available key.  Duplicate
 registration of a key or alias raises immediately.  Component contracts are
 validated lazily on first lookup (entries register while their module is still
 executing, so e.g. pickling a factory class by qualified name only works once
-the module finished importing): protocol plugins must declare the shareable
-contract the cohort runtime requires, factories must be picklable dataclasses
+the module finished importing): protocol plugins must provide callable
+builders and pickle by reference, factories must be picklable dataclasses
 so :func:`repro.sim.runner.fingerprint_payload` can reduce them stably.
 
 The built-in components register when their home module imports; each registry
@@ -244,18 +243,11 @@ class ProtocolPlugin:
     """Everything the simulator needs to know to run one protocol key.
 
     Subclasses implement the three builders and may override the derived-bound
-    hooks.  ``protocol_classes`` lists every :class:`~repro.core.protocol.Protocol`
-    subclass the plugin instantiates; registration validates that each one
-    declares the shareable contract the cohort runtime requires
-    (``shareable``, ``shared_observation_attr``, and a ``cohort_key``
-    override whenever ``shareable`` is true — see the PR 4 notes in
-    ROADMAP.md).
+    hooks.
     """
 
     #: Canonical registry key; filled in at registration.
     key: Optional[str] = None
-    #: Protocol classes this plugin instantiates (checked for the contract).
-    protocol_classes: tuple = ()
 
     def build(self, config) -> Any:
         """An honest protocol instance for ``config`` (a ScenarioConfig)."""
@@ -297,29 +289,6 @@ def _validate_protocol_plugin(key: str, plugin: Any) -> None:
     for method in ("build", "build_liar", "build_schedule"):
         if not callable(getattr(plugin, method, None)):
             raise RegistryError(f"protocol {key!r} plugin lacks a callable {method}()")
-    classes = tuple(getattr(plugin, "protocol_classes", ()))
-    if not classes:
-        raise RegistryError(
-            f"protocol {key!r} must declare protocol_classes (the Protocol "
-            "subclasses it instantiates) so the cohort-runtime contract can be checked"
-        )
-    from .core.protocol import Protocol
-
-    for cls in classes:
-        shareable = getattr(cls, "shareable", None)
-        if not isinstance(shareable, bool):
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} must declare 'shareable' as a bool"
-            )
-        if not hasattr(cls, "shared_observation_attr"):
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} must declare 'shared_observation_attr'"
-            )
-        if shareable and cls.cohort_key is Protocol.cohort_key:
-            raise RegistryError(
-                f"protocol {key!r}: {cls.__name__} is shareable but does not override "
-                "cohort_key(); the cohort runtime cannot group it safely"
-            )
     _require_picklable("protocol", key, plugin)
 
 

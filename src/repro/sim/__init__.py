@@ -2,8 +2,7 @@
 
 from .builder import build_channel, build_schedule, build_simulation, run_scenario
 from .config import FaultPlan, ScenarioConfig, canonical_channel, canonical_protocol, default_message
-from .batch import Cohort, CohortRuntime
-from .engine import Simulation, clear_link_cache, default_cohort_runtime, link_cache_info
+from .engine import Simulation, clear_link_cache, link_cache_info
 from .events import Event, EventKind, EventLog
 from .node import SimNode
 from .plan import SlotPlan
@@ -60,10 +59,7 @@ __all__ = [
     "default_message",
     "Simulation",
     "clear_link_cache",
-    "default_cohort_runtime",
     "link_cache_info",
-    "Cohort",
-    "CohortRuntime",
     "Event",
     "EventKind",
     "EventLog",

@@ -51,19 +51,17 @@ def build_simulation(
     faults: Optional[FaultPlan] = None,
     *,
     trace: Optional[EventLog] = None,
-    use_cohort_runtime: Optional[bool] = None,
     use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
 ) -> Simulation:
     """Wire a deployment, a scenario and a fault plan into a Simulation.
 
-    ``use_cohort_runtime``, ``use_spatial_tiling`` and ``use_soa_kernels``
-    are forwarded to :class:`~repro.sim.engine.Simulation` (``None`` =
-    process default): the first selects between shared-cohort and per-device
-    execution of the protocol state machines, the second between the sparse
-    spatially-tiled link-state tier and the dense ``N x N`` matrices, the
-    third enables the struct-of-arrays slot kernels for eligible
-    protocol/channel combinations.  All three are pure memory/throughput
+    ``use_spatial_tiling`` and ``use_soa_kernels`` are forwarded to
+    :class:`~repro.sim.engine.Simulation` (``None`` = process default): the
+    first selects between the sparse spatially-tiled link-state tier and the
+    dense ``N x N`` matrices, the second enables the struct-of-arrays slot
+    kernels for eligible protocol/channel combinations (the per-device
+    scalar loop runs everything else).  Both are pure memory/throughput
     knobs — results are bit-identical either way, so they are *not* part of
     :class:`ScenarioConfig` and never enter store fingerprints.
     """
@@ -128,7 +126,6 @@ def build_simulation(
         message,
         rng=rng_factory.generator("channel"),
         trace=trace,
-        use_cohort_runtime=use_cohort_runtime,
         use_spatial_tiling=use_spatial_tiling,
         use_soa_kernels=use_soa_kernels,
     )
@@ -158,7 +155,6 @@ def run_scenario(
     *,
     trace: Optional[EventLog] = None,
     max_rounds: Optional[int] = None,
-    use_cohort_runtime: Optional[bool] = None,
     use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
     info_sink: Optional[dict] = None,
@@ -167,7 +163,7 @@ def run_scenario(
 
     When ``info_sink`` is given, the simulation's post-run
     :meth:`~repro.sim.engine.Simulation.plan_cache_info` snapshot is copied
-    into it — runtime-tier telemetry (cohort/SoA/tiling counters) for
+    into it — runtime-tier telemetry (SoA/tiling counters) for
     benchmark captures, without widening the closed result-metadata schema.
     """
     simulation = build_simulation(
@@ -175,7 +171,6 @@ def run_scenario(
         config,
         faults,
         trace=trace,
-        use_cohort_runtime=use_cohort_runtime,
         use_spatial_tiling=use_spatial_tiling,
         use_soa_kernels=use_soa_kernels,
     )

@@ -33,31 +33,22 @@ state of a run resolves each round with a handful of dict lookups instead of
 distance computations and per-listener Python loops.  ``Schedule.iter_slot_starts``
 replaces the per-slot divmod arithmetic of ``locate_round``.
 
-Cohort protocol runtime
------------------------
-On top of the compiled plan, the engine can execute the *protocol* layer in
-shared cohorts (:mod:`repro.sim.batch`): honest devices whose state machines
-are provably interchangeable — the paper's "meta-node" squares — are driven
-by one phase-machine evaluation per cohort per round, splitting
-copy-on-divergence the moment two members observe different (projected)
-things and re-merging when their states reconverge.  The per-device loop in
-:meth:`Simulation._run_slot_scalar` remains the tested oracle behind
-``use_cohort_runtime=False`` (or ``REPRO_COHORT_RUNTIME=0``).
-
-Struct-of-arrays slot kernels
------------------------------
-Above both sits the struct-of-arrays tier (:mod:`repro.sim.soa`): slots whose
-participants all run one of the simple soa-compilable phase machines
-(epidemic flooding, NeighborWatchRB, MultiPathRB) over a unit-disk channel
-(capture-free; loss compiles) or a Friis/SINR channel are compiled into
-packed-bitmask kernels that execute the whole six-round broadcast interval
-as a handful of integer operations, touching per-device Python only where
-state commits — batching loss draws in listener order and synthesizing the
-event stream on traced runs.  The knob is
-``use_soa_kernels`` (env ``REPRO_SOA_KERNELS``, default on); slot
-occurrences joined by an opportunistic adversary transmitter, and every
-non-compilable configuration, fall back to the cohort/scalar tiers, which
-remain the tested oracles.
+Execution tiers
+---------------
+Two tiers execute the protocol layer.  The default is the struct-of-arrays
+tier (:mod:`repro.sim.soa`): slots whose participants all run one of the
+soa-compilable protocols (epidemic flooding, NeighborWatchRB, MultiPathRB)
+over a unit-disk channel (capture-free; loss compiles) or a Friis/SINR
+channel are compiled into packed-bitmask kernels that execute the whole
+six-round broadcast interval as a handful of integer operations, touching
+per-device Python only where state commits — batching loss draws in
+listener order and synthesizing the event stream on traced runs.  This is
+how the paper's "meta-node" squares execute: one mask operation covers
+every member.  The knob is ``use_soa_kernels`` (env ``REPRO_SOA_KERNELS``,
+default on).  Everything else — slot occurrences joined by an opportunistic
+adversary transmitter, and every non-compilable configuration — runs on the
+per-device loop in :meth:`Simulation._run_slot_scalar`, which is also the
+scalar oracle the SoA kernels are pinned against.
 
 Spatially-tiled link state
 --------------------------
@@ -71,8 +62,8 @@ knob is ``use_spatial_tiling`` (env ``REPRO_SPATIAL_TILING``, auto-on above
 
 The RNG contract is strict: stochastic channel configurations bypass the
 round memo entirely and consume the generator exactly as the scalar reference
-kernels would, and the cohort runtime and tiled round kernels preserve
-listener order per round, so every result — including the content-addressed
+kernels would, and the SoA and tiled round kernels preserve listener order
+per round, so every result — including the content-addressed
 store fingerprints of :mod:`repro.store` — is bit-identical to the pre-plan
 engine.
 
@@ -91,7 +82,6 @@ import numpy as np
 
 from ..core.protocol import Observation, SILENCE
 from ..core.schedule import Schedule
-from .batch import CohortRuntime
 from .events import EventKind, EventLog
 from .linkstate import SparseLinkState
 from .node import SimNode
@@ -104,7 +94,6 @@ __all__ = [
     "Simulation",
     "link_cache_info",
     "clear_link_cache",
-    "default_cohort_runtime",
     "default_soa_kernels",
     "default_spatial_tiling",
     "SPATIAL_TILING_AUTO_NODES",
@@ -123,8 +112,8 @@ def default_spatial_tiling(num_nodes: int) -> bool:
     Controlled by ``REPRO_SPATIAL_TILING``: ``1``/``true`` forces the sparse
     spatially-tiled link-state tier on at every size, ``0``/``false`` forces
     the dense tier, and the default (``auto``) enables tiling above
-    :data:`SPATIAL_TILING_AUTO_NODES` nodes.  Like the cohort runtime knob,
-    this is a pure memory/throughput setting: tiled and untiled runs are
+    :data:`SPATIAL_TILING_AUTO_NODES` nodes.  Like the SoA kernel knob, this
+    is a pure memory/throughput setting: tiled and untiled runs are
     bit-identical (store fingerprints, exported rows and RNG stream positions
     included), so it lives outside :class:`~repro.sim.config.ScenarioConfig`
     and never enters fingerprints.
@@ -142,26 +131,12 @@ def default_spatial_tiling(num_nodes: int) -> bool:
     return num_nodes > threshold
 
 
-def default_cohort_runtime() -> bool:
-    """Process-wide default for :class:`Simulation`'s ``use_cohort_runtime``.
-
-    Controlled by the ``REPRO_COHORT_RUNTIME`` environment variable (default
-    on; ``0``/``false``/``no``/``off`` disable it).  The benchmark harness
-    uses the knob to capture cohort-off baselines without threading a
-    parameter through every experiment — and because cohort execution is
-    bit-identical to the scalar oracle, the setting can never change a result,
-    only the wall clock.
-    """
-    value = os.environ.get("REPRO_COHORT_RUNTIME", "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
-
-
 def default_soa_kernels() -> bool:
     """Process-wide default for :class:`Simulation`'s ``use_soa_kernels``.
 
     Controlled by the ``REPRO_SOA_KERNELS`` environment variable (default
-    on; ``0``/``false``/``no``/``off`` disable it).  Like the cohort and
-    tiling knobs this is a pure throughput setting: the struct-of-arrays
+    on; ``0``/``false``/``no``/``off`` disable it).  Like the tiling knob
+    this is a pure throughput setting: the struct-of-arrays
     slot kernels (:mod:`repro.sim.soa`) are bit-identical to the per-device
     oracle — exported rows, store fingerprints, ``delivery_round`` stamps,
     broadcast counts and RNG stream positions included — so it lives outside
@@ -266,13 +241,6 @@ class Simulation:
     trace:
         Optional :class:`~repro.sim.events.EventLog` receiving broadcast and
         delivery events.
-    use_cohort_runtime:
-        Whether to execute shareable, observation-identical devices as shared
-        cohorts (:class:`~repro.sim.batch.CohortRuntime`).  ``None`` (default)
-        reads the process default (:func:`default_cohort_runtime`);
-        ``False`` forces the per-device scalar path, which is the tested
-        oracle the cohort runtime is pinned against.  Results are bit-identical
-        either way.
     use_spatial_tiling:
         Whether to keep the channel link state in the sparse spatially-tiled
         tier (CSR per-tile structures + region tiling) instead of the dense
@@ -283,14 +251,13 @@ class Simulation:
     use_soa_kernels:
         Whether to compile eligible slots into struct-of-arrays bitmask
         kernels (:mod:`repro.sim.soa`) — the fastest execution tier,
-        available when every participant of a slot runs one of the simple
-        soa-compilable phase machines and the channel satisfies
+        available when every participant of a slot runs a soa-compilable
+        protocol and the channel satisfies
         :meth:`~repro.sim.radio.Channel.supports_soa_rounds`.  ``None``
         (default) reads the process default (:func:`default_soa_kernels` —
-        on unless ``REPRO_SOA_KERNELS=0``).  When any slot compiles, the
-        cohort runtime is not constructed (the tiers cannot share protocol
-        instances) and uncompiled slots run on the scalar oracle loop.
-        Results are bit-identical on every tier.
+        on unless ``REPRO_SOA_KERNELS=0``).  Uncompiled slots run on the
+        per-device scalar loop, which is the oracle the kernels are pinned
+        against.  Results are bit-identical on both tiers.
     """
 
     def __init__(
@@ -302,7 +269,6 @@ class Simulation:
         *,
         rng: Optional[np.random.Generator] = None,
         trace: Optional[EventLog] = None,
-        use_cohort_runtime: Optional[bool] = None,
         use_spatial_tiling: Optional[bool] = None,
         use_soa_kernels: Optional[bool] = None,
     ) -> None:
@@ -375,28 +341,9 @@ class Simulation:
             if runtime.groups:
                 self.soa_runtime = runtime
         self._soa_groups = self.soa_runtime.groups if self.soa_runtime is not None else {}
-        if use_cohort_runtime is None:
-            use_cohort_runtime = default_cohort_runtime()
-        # Compiled SoA slots never reach the cohort runtime, and the two
-        # tiers cannot coexist (cohorts rebind node protocols to shared
-        # machines, which would invalidate the compiled per-device specs) —
-        # with any SoA group present, uncompiled slots and fallback
-        # occurrences execute on the scalar oracle loop instead.
-        self.cohort_runtime: Optional[CohortRuntime] = (
-            CohortRuntime(self.nodes, self.plan, tiling=self.tiling)
-            if use_cohort_runtime and self.soa_runtime is None
-            else None
-        )
-        # Hot-path dispatch: when construction compiled no multi-member cohort
-        # (every device a singleton — adversaries, RNG consumers, MultiPathRB,
-        # sparse deployments) the scalar loop does the identical calls with
-        # less indirection, so the runtime is kept for introspection only.
-        self._slot_runtime: Optional[CohortRuntime] = (
-            self.cohort_runtime if self.cohort_runtime is not None and self.cohort_runtime.cohorts else None
-        )
 
     def plan_cache_info(self) -> dict:
-        """Snapshot of the plan's and runtime tiers' per-simulation caches.
+        """Snapshot of the plan's and execution tiers' per-simulation caches.
 
         Returns a dict with these keys:
 
@@ -406,17 +353,6 @@ class Simulation:
           channel configurations only), same counter shape;
         * ``"transmissions_interned"`` — size of the transmission intern
           table;
-        * ``"cohort_runtime"`` — ``{"enabled": False}`` when the per-device
-          oracle path was requested, otherwise ``{"enabled": True, "active",
-          "initial_cohorts", "cohorts", "shared_members", "singletons",
-          "share_hits", "divergence_splits", "cohort_merges"}``: whether any
-          multi-member cohort exists (an all-singleton run executes on the
-          scalar loop), the number of cohorts compiled at construction, the
-          current (post-split/merge) cohort count, how many devices execute
-          shared vs per-device, the number of per-device evaluations avoided
-          by sharing, the number of copy-on-divergence splits performed, and
-          the number of reconverged sibling cohorts re-merged (plus
-          ``"cross_region_cohorts"`` when spatial tiling is on);
         * ``"soa_kernels"`` — ``{"enabled": False}`` when the
           struct-of-arrays tier is off or no slot compiled, otherwise
           ``{"enabled": True, "slots_compiled", "member_slots", "slots_run",
@@ -429,18 +365,15 @@ class Simulation:
           wholesale overflow clears of a group's memo);
         * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
           otherwise ``{"enabled": True, "tiles", "occupied_tiles",
-          "tile_side", "grid_cols", "grid_rows", "sparse_nnz",
-          "interior_links", "boundary_links", "dense_bytes_avoided",
-          "rounds_resolved", "round_interior_hits", "round_boundary_hits",
-          "sparse_round_kernel"}``: the static tiling shape, the CSR size and
-          its static interior/boundary link split, the dense bytes the sparse
-          tier avoided materializing, and the live per-round tile-exchange
-          counters (how many audible listener/sender pairs stayed inside a
-          tile vs crossed a boundary across all resolved rounds).
+          "tile_side", "grid_cols", "grid_rows", "sparse", "sparse_nnz",
+          "index_dtype", "interior_links", "boundary_links",
+          "dense_bytes_avoided", "sparse_round_kernel"}``: the static tiling
+          shape, the CSR size and index dtype and its static
+          interior/boundary link split, the dense bytes the sparse
+          tier avoided materializing, and whether scalar rounds resolve
+          through the CSR round-view kernel.
         """
         info = self.plan.cache_info()
-        runtime = self.cohort_runtime
-        info["cohort_runtime"] = runtime.info() if runtime is not None else {"enabled": False}
         soa = self.soa_runtime
         info["soa_kernels"] = soa.info() if soa is not None else {"enabled": False}
         state = self._link_state
@@ -541,14 +474,10 @@ class Simulation:
                 else:
                     self.soa_runtime.run_slot(self, group)
                 return
-        runtime = self._slot_runtime
-        if runtime is not None:
-            runtime.run_slot(self, cycle, slot, extras, occurrence_key)
-            return
         self._run_slot_scalar(cycle, slot, records, occurrence_key)
 
     def _run_slot_scalar(self, cycle: int, slot: int, records: tuple, occurrence_key: object) -> None:
-        """The per-device oracle loop (cohort runtime disabled)."""
+        """The per-device scalar loop: the oracle and the fallback tier."""
         plan = self.plan
         phases = self.schedule.phases_per_slot
         trace = self.trace

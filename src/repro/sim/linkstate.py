@@ -107,15 +107,11 @@ class RoundView:
     ``i``-th listener (listener order preserved), and ``tx_sum[i]`` the sum of
     the audible transmission column indices — for a single-transmission
     listener that *is* the decoded column, which is all the vectorized
-    unit-disk kernel needs.  ``interior_hits`` / ``boundary_hits`` count the
-    audible (listener, sender) pairs that stayed within the sender's tile vs
-    crossed a tile boundary (the tiles' exchanged traffic).
+    unit-disk kernel needs.
     """
 
     counts: np.ndarray
     tx_sum: np.ndarray
-    interior_hits: int
-    boundary_hits: int
 
 
 class SparseLinkState(ChannelLinkState):
@@ -158,11 +154,6 @@ class SparseLinkState(ChannelLinkState):
         self._interior_links, self._boundary_links = self.tiling.classify_links(
             self.indptr, self.indices
         )
-        # Live exchange counters, accumulated per resolved round (cache hits
-        # included — a replayed view still represents executed tile traffic).
-        self.rounds_resolved = 0
-        self.round_interior_hits = 0
-        self.round_boundary_hits = 0
 
     # -- structure -------------------------------------------------------------------
     @property
@@ -196,12 +187,6 @@ class SparseLinkState(ChannelLinkState):
     def round_view(self, listeners, senders) -> RoundView:
         raise NotImplementedError
 
-    def note_round(self, view: RoundView) -> None:
-        """Accumulate one resolved round's tile-exchange statistics."""
-        self.rounds_resolved += 1
-        self.round_interior_hits += view.interior_hits
-        self.round_boundary_hits += view.boundary_hits
-
     # -- introspection ----------------------------------------------------------------
     def info(self) -> dict:
         out = {"sparse": True, **self.tiling.info()}
@@ -211,9 +196,6 @@ class SparseLinkState(ChannelLinkState):
             interior_links=self._interior_links,
             boundary_links=self._boundary_links,
             dense_bytes_avoided=self.dense_bytes_avoided,
-            rounds_resolved=self.rounds_resolved,
-            round_interior_hits=self.round_interior_hits,
-            round_boundary_hits=self.round_boundary_hits,
         )
         return out
 
@@ -252,12 +234,9 @@ class UnitDiskLinkState(SparseLinkState):
         num_listeners = l_arr.size
         counts = np.zeros(num_listeners, dtype=np.int64)
         tx_sum = np.zeros(num_listeners, dtype=np.int64)
-        interior = 0
-        boundary = 0
         if num_listeners:
             order = np.argsort(l_arr, kind="stable")
             sorted_ids = l_arr[order]
-            tile_of = self.tiling.tile_of
             indptr, indices = self.indptr, self.indices
             for col, sender in enumerate(senders):
                 audience = indices[indptr[sender] : indptr[sender + 1]]
@@ -267,11 +246,7 @@ class UnitDiskLinkState(SparseLinkState):
                 rows = order[pos[hit]]
                 counts[rows] += 1
                 tx_sum[rows] += col
-                heard_by = audience[hit]
-                same = int(np.count_nonzero(tile_of[heard_by] == tile_of[sender]))
-                interior += same
-                boundary += int(heard_by.size) - same
-        return RoundView(counts, tx_sum, interior, boundary)
+        return RoundView(counts, tx_sum)
 
 
 class FriisLinkState(SparseLinkState):

@@ -6,12 +6,9 @@ its behaviour (a :class:`~repro.core.protocol.Protocol` instance).  Crashed
 devices simply have no behaviour: they never transmit, never observe, and are
 reported as inactive in the run results.
 
-Under the cohort runtime (:mod:`repro.sim.batch`) several nodes may point at
-the *same* protocol instance — the shared state machine of their cohort — and
-a node's ``protocol`` is rebound to a clone when its cohort splits.  That is
-safe for every consumer here: ``delivered``/``delivered_message`` are
-member-independent for shareable protocols, and ``broadcasts`` is maintained
-per node by the engine, never by the protocol.
+Every node owns its protocol instance.  ``broadcasts`` is maintained per node
+by the engine (the scalar loop counts each transmission, the SoA kernels
+tally them per transmitter mask), never by the protocol.
 """
 
 from __future__ import annotations

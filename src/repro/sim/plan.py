@@ -28,10 +28,6 @@ simulation, so :class:`SlotPlan` compiles it once at construction:
   :class:`~repro.sim.linkstate.RoundView` aggregations instead (one entry per
   ``(occurrence, senders)`` either way — the engine uses exactly one of the
   two representations per simulation);
-* **region records** — when spatial tiling is enabled, the per-slot
-  participant id arrays regrouped per :class:`~repro.sim.tiling.RegionTiling`
-  tile (computed lazily, in participant order within each tile), the
-  per-region compilation the tiled round kernels and introspection key off;
 * **round memo** — for channels whose resolution consumes no RNG
   (:meth:`~repro.sim.radio.Channel.consumes_rng` is ``False``), whole resolved
   rounds keyed by ``(slot occurrence, senders, frames)``.  Observations are a
@@ -82,7 +78,6 @@ class SlotPlan:
         "round_memo_misses",
         "_tx_cache",
         "_node_records",
-        "_region_records",
     )
 
     def __init__(
@@ -150,7 +145,7 @@ class SlotPlan:
         self.flex_transmitters: tuple[int, ...] = tuple(flex_transmitters)
 
         # Frozen per-slot participant ids, in record order.  Shared with the
-        # spatial-tiling regrouping and the SoA compiler, which adopts each
+        # SoA compiler, which adopts each
         # array as its group's member_ids (ascending ids are what make the
         # packed-mask member indexing line up with scalar record order).
         self.participant_arrays: dict[int, np.ndarray] = {}
@@ -186,31 +181,11 @@ class SlotPlan:
         self.round_memo_misses = 0
 
         self._tx_cache: dict[tuple, Transmission] = {}
-        self._region_records: dict[int, dict[int, np.ndarray]] | None = None
 
     # -- hot-path helpers ------------------------------------------------------------
     def node_record(self, node_id: int) -> tuple:
         """The compiled record of one device (participants and flex joiners)."""
         return self._node_records[node_id]
-
-    def compile_cohort_entries(self, cohort_of: dict) -> dict:
-        """Per-slot execution entries for the cohort runtime.
-
-        For every slot, a list of mutable ``[record, cohort, spec, tx]``
-        entries in the exact participant order of :attr:`slot_records`
-        (``cohort`` is ``None`` for singleton devices; the trailing two
-        elements memoise the member's last fan-out transmission per shared
-        decision).  The entry *objects* are what the runtime tracks
-        incrementally: a record participating in several slots gets one entry
-        per slot, and when a cohort splits or re-merges the runtime rewrites
-        the ``cohort`` element of the affected entries in place — the
-        per-slot membership therefore never needs to be re-derived during a
-        run.
-        """
-        return {
-            slot: [[record, cohort_of.get(record[REC_ID]), None, None] for record in records]
-            for slot, records in self.slot_records.items()
-        }
 
     def transmission(self, node_id: int, position, frame) -> Transmission:
         """Interned ``Transmission`` for a sender/frame pair."""
@@ -252,9 +227,7 @@ class SlotPlan:
         """The CSR round aggregation for one ``(occurrence, senders)`` key.
 
         Shares the submatrix LRU (an engine uses either dense slices or round
-        views, never both) and accumulates the link state's tile-exchange
-        counters on every resolution, cache hit or miss — a replayed view
-        still stands for executed tile traffic.
+        views, never both).
         """
         cache = self.submatrix_cache
         view = cache.get(key)
@@ -267,32 +240,7 @@ class SlotPlan:
         else:
             self.submatrix_hits += 1
             cache.move_to_end(key)
-        link_state.note_round(view)
         return view
-
-    def region_records(self, tiling) -> dict[int, dict[int, np.ndarray]]:
-        """Per-slot participant ids regrouped per region tile (lazy, cached).
-
-        For every slot, a dict mapping each occupied tile of ``tiling`` to the
-        ids of the slot's participants located in it, in participant order —
-        the per-region compilation of the slot plan.  The grouping is pure
-        bookkeeping (participant *execution* order never changes; the RNG
-        contract forbids that), consumed by the tiled introspection counters
-        and by tests pinning the tiling against the global plan.
-        """
-        if self._region_records is None:
-            grouped: dict[int, dict[int, np.ndarray]] = {}
-            tile_of = tiling.tile_of
-            for slot, ids in self.participant_arrays.items():
-                tiles = tile_of[ids]
-                by_tile: dict[int, np.ndarray] = {}
-                for tile in np.unique(tiles):
-                    members = ids[tiles == tile]
-                    members.setflags(write=False)
-                    by_tile[int(tile)] = members
-                grouped[slot] = by_tile
-            self._region_records = grouped
-        return self._region_records
 
     # -- introspection ----------------------------------------------------------------
     def cache_info(self) -> dict:

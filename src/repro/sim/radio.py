@@ -142,7 +142,7 @@ class SoaRoundSupport:
         ``channel`` (busy model), ``kernels`` (vectorized kernels knob),
         ``loss``, ``capture`` and ``trace``.  ``reason`` explains the
         verdict either way; for a failed capability it says *why* the
-        configuration stays on the cohort/scalar tiers.
+        configuration stays on the scalar tier.
     """
 
     eligible: bool
@@ -314,7 +314,7 @@ class Channel(abc.ABC):
                 (
                     "channel",
                     False,
-                    f"{type(self).__name__} defines no SoA busy model → cohort/scalar",
+                    f"{type(self).__name__} defines no SoA busy model → scalar",
                 ),
             ),
         )

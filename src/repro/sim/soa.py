@@ -1,21 +1,20 @@
-"""Struct-of-arrays (SoA) slot kernels — the third execution tier.
+"""Struct-of-arrays (SoA) slot kernels — the default execution tier.
 
-The cohort runtime (:mod:`repro.sim.batch`) removes redundant *protocol*
-evaluations by sharing one state machine across observation-identical
-devices, but it still walks every cohort and every singleton through the
-six-phase machinery each slot.  For the simple phase machines — the
-epidemic counters and the 1Hop/2Bit streams behind NeighborWatchRB and
-MultiPathRB — the whole slot is a closed-form function of a few packed
-bitmasks, because their transitions consume no RNG and read the channel
-only through the shared ``busy`` flag.  This module compiles such slots
+The per-device scalar loop
+(:meth:`repro.sim.engine.Simulation._run_slot_scalar`) walks every
+participant through the six-phase machinery each slot.  For the simple
+state machines — the epidemic counters and the 1Hop/2Bit streams behind
+NeighborWatchRB and MultiPathRB — the whole slot is a closed-form function
+of a few packed bitmasks, because their transitions consume no RNG and read
+the channel only through the ``busy`` flag (the paper's meta-node squares
+are exactly such groups).  This module compiles such slots
 once (:class:`SoaRuntime`) and then executes each slot occurrence as a
 handful of integer mask operations over *all* of the slot's devices at
 once, fanning out to per-device Python only at the state-commit boundary
 (a sender advancing its stream, a receiver accepting a bit, a device
 adopting the flood payload).
 
-The contract is bit-identity with the per-device oracle
-(:meth:`repro.sim.engine.Simulation._run_slot_scalar`): identical protocol
+The contract is bit-identity with that scalar oracle: identical protocol
 state trajectories, identical ``delivery_round`` stamps, identical
 broadcast counts, identical RNG stream positions, and — on traced runs —
 an identical event stream.  Which channel configurations lower to this
@@ -40,7 +39,7 @@ tier is decided per capability by
 * **capture** — Friis SINR capture is deterministic (an argmax) and
   compiles; unit-disk ``capture_probability`` draws are data-dependent
   (a uniform plus an integer choice per collision) and keep those
-  configurations on the scalar/cohort tiers.
+  configurations on the scalar tier.
 * **tracing** — BROADCAST/DELIVERY events are synthesized from the packed
   masks after each slot's mask algebra, in the exact order the scalar
   loop's record iteration emits them, so traced runs stay on this tier.
@@ -67,8 +66,7 @@ data rounds R1/R3 carry the parity and data bits, ack rounds R2/R4 echo
 them, R5 carries sender vetoes (:func:`~repro.core.twobit.soa_veto_mask`)
 plus blocker activity, R6 relays the veto.  Per-slot statistics kept by
 the per-device helpers (attempt/failure tallies) are *not* maintained —
-they are excluded from ``state_signature`` precisely because they never
-influence behaviour.
+no transition reads them, so they never influence behaviour.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ the per-round CSR kernels only need to "exchange" the boundary-crossing
 transmissions between tiles.
 
 :class:`RegionTiling` owns the per-node tile assignment and the static
-interior/boundary classification of the CSR link structure; the live
-per-round exchange counters accumulate on the link state itself as rounds
-resolve.
+interior/boundary classification of the CSR link structure.
 """
 
 from __future__ import annotations

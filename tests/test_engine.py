@@ -515,3 +515,56 @@ class TestSlotPlan:
         sim, sched = make_sim(positions, [ChattyBeacon(0), Listener(0)])
         sim.run_slots(6 * sched.num_slots)
         assert sim.plan_cache_info()["transmissions_interned"] == 1
+
+
+class TestPlanCacheInfoShape:
+    """``plan_cache_info()`` reports exactly the sections its docstring lists,
+    so a telemetry consumer never reads a key no tier maintains."""
+
+    COUNTERS = {"entries", "max_entries", "hits", "misses"}
+    SOA_KEYS = {
+        "enabled", "slots_compiled", "member_slots", "slots_run", "scalar_fallbacks",
+        "busy_cache_hits", "busy_cache_misses", "busy_cache_entries",
+        "busy_cache_evictions",
+    }
+    TILING_KEYS = {
+        "enabled", "tiles", "occupied_tiles", "tile_side", "grid_cols", "grid_rows",
+        "sparse", "sparse_nnz", "index_dtype", "interior_links", "boundary_links",
+        "dense_bytes_avoided", "sparse_round_kernel",
+    }
+
+    @pytest.mark.parametrize("soa,tiled", [(True, False), (False, True)], ids=["soa-dense", "scalar-tiled"])
+    def test_sections_match_the_documented_shape(self, uniform_small_deployment, soa, tiled):
+        from repro.sim.builder import build_simulation
+        from repro.sim.config import ScenarioConfig
+
+        clear_link_cache()
+        config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=3)
+        sim = build_simulation(
+            uniform_small_deployment, config, use_soa_kernels=soa, use_spatial_tiling=tiled
+        )
+        sim.run(300)
+        info = sim.plan_cache_info()
+        assert set(info) == {
+            "submatrix", "round_memo", "transmissions_interned", "soa_kernels", "spatial_tiling",
+        }
+        assert set(info["submatrix"]) == self.COUNTERS
+        assert set(info["round_memo"]) == self.COUNTERS
+        assert set(info["soa_kernels"]) == (self.SOA_KEYS if soa else {"enabled"})
+        assert set(info["spatial_tiling"]) == (self.TILING_KEYS if tiled else {"enabled"})
+
+
+class TestPackageExports:
+    """Every name a package exports must resolve: deleting a module must also
+    delete its re-exports, or ``from package import *`` breaks."""
+
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.core", "repro.sim", "repro.experiments"]
+    )
+    def test_all_names_resolve(self, module):
+        import importlib
+
+        package = importlib.import_module(module)
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert missing == []
+        assert len(set(package.__all__)) == len(package.__all__)

@@ -1,7 +1,8 @@
 """Smoke tests of the experiment harness (scaled-down specs).
 
-Each experiment runs end-to-end on its ``small()`` spec (or an even smaller
-inline variant) and the resulting rows are checked for the qualitative shape
+Each experiment runs end-to-end on its ``small`` scale (or an even smaller
+variant given as spec overrides) and the resulting rows are checked for the
+qualitative shape
 the paper reports — who wins, how the curves move — rather than absolute
 numbers.
 """
@@ -12,28 +13,25 @@ import pytest
 
 from repro.analysis import format_table
 from repro.experiments import (
-    ClusteredSpec,
-    CrashResilienceSpec,
-    DensityToleranceSpec,
-    DualModeSpec,
-    EpidemicComparisonSpec,
-    JammingSpec,
-    LyingSpec,
-    MapSizeSpec,
     airtime_bits,
     available_experiments,
     fit_linear_trend,
+    get_spec,
     linear_scaling_error,
-    run_clustered,
-    run_crash_resilience,
-    run_density_tolerance,
-    run_dual_mode,
-    run_epidemic_comparison,
     run_experiment,
-    run_jamming,
-    run_lying,
-    run_map_size,
+    run_spec,
 )
+from repro.experiments.driver import resolve_context
+
+_NW = {"label": "NeighborWatchRB", "protocol": "neighborwatch", "tolerance": 0}
+
+
+def _context(experiment_id, scale):
+    return resolve_context(get_spec(experiment_id), scale=scale)
+
+
+def _run(experiment_id, scale=None, **overrides):
+    return run_spec(get_spec(experiment_id), scale=scale, overrides=overrides)
 
 
 class TestRegistry:
@@ -53,29 +51,31 @@ class TestRegistry:
     def test_paper_specs_construct(self):
         # The paper-scale specs are too slow to *run* in CI, but they must at
         # least be constructible and strictly larger than the small ones.
-        assert len(CrashResilienceSpec.paper().densities) > len(CrashResilienceSpec.small().densities)
-        assert len(LyingSpec.paper().fractions) > len(LyingSpec.small().fractions)
-        assert len(JammingSpec.paper().budgets) > len(JammingSpec.small().budgets)
-        assert len(MapSizeSpec.paper().map_sizes) >= len(MapSizeSpec.small().map_sizes)
-        assert DensityToleranceSpec.paper().repetitions >= DensityToleranceSpec.small().repetitions
-        assert EpidemicComparisonSpec.paper().include_multipath
-        assert DualModeSpec.paper().payload_bits > DualModeSpec.small().payload_bits
-        assert ClusteredSpec.paper().num_nodes == 1200
+        paper = {eid: _context(eid, "paper") for eid in available_experiments()}
+        small = {eid: _context(eid, "small") for eid in available_experiments()}
+        assert len(paper["FIG5"]["densities"]) > len(small["FIG5"]["densities"])
+        assert len(paper["FIG6"]["fractions"]) > len(small["FIG6"]["fractions"])
+        assert len(paper["JAM"]["budgets"]) > len(small["JAM"]["budgets"])
+        assert len(paper["MAPSZ"]["map_sizes"]) >= len(small["MAPSZ"]["map_sizes"])
+        assert paper["FIG7"]["repetitions"] >= small["FIG7"]["repetitions"]
+        assert paper["EPID"]["include_multipath"]
+        assert paper["DUAL"]["payload_bits"] > small["DUAL"]["payload_bits"]
+        assert paper["CLUST"]["num_nodes"] == 1200
 
 
 @pytest.mark.slow
 class TestCrashResilience:
     def test_small_sweep_shape(self):
-        spec = CrashResilienceSpec(
+        rows = _run(
+            "FIG5",
             map_size=8.0,
             deployed_density=2.5,
             densities=(0.8, 2.2),
             radius=3.0,
             message_length=2,
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
+            protocols=(_NW,),
             repetitions=1,
         )
-        rows = run_crash_resilience(spec)
         assert len(rows) == 2
         by_density = {row["density"]: row for row in rows}
         # Figure 5 shape: completion improves (weakly) with density.
@@ -88,10 +88,9 @@ class TestCrashResilience:
 @pytest.mark.slow
 class TestJamming:
     def test_delay_grows_with_budget(self):
-        spec = JammingSpec(
-            map_size=8.0, num_nodes=100, radius=3.0, message_length=2, budgets=(0, 8), repetitions=1
+        rows = _run(
+            "JAM", map_size=8.0, num_nodes=100, radius=3.0, message_length=2, budgets=(0, 8), repetitions=1
         )
-        rows = run_jamming(spec)
         assert rows[0]["budget"] == 0 and rows[1]["budget"] == 8
         assert rows[1]["rounds"] >= rows[0]["rounds"]
         assert all(row["correct_%"] == pytest.approx(100.0) for row in rows)
@@ -110,16 +109,16 @@ class TestJamming:
 @pytest.mark.slow
 class TestLying:
     def test_correctness_degrades_with_liar_fraction(self):
-        spec = LyingSpec(
+        rows = _run(
+            "FIG6",
             map_size=9.0,
             num_nodes=150,
             radius=3.0,
             message_length=2,
             fractions=(0.0, 0.30),
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
+            protocols=(_NW,),
             repetitions=1,
         )
-        rows = run_lying(spec)
         clean = next(r for r in rows if r["byzantine_fraction"] == 0.0)
         attacked = next(r for r in rows if r["byzantine_fraction"] == 0.30)
         assert clean["correct_%"] == pytest.approx(100.0)
@@ -129,16 +128,16 @@ class TestLying:
 @pytest.mark.slow
 class TestDensityTolerance:
     def test_tolerance_grows_with_density(self):
-        spec = DensityToleranceSpec(
+        rows = _run(
+            "FIG7",
             map_size=8.0,
             densities=(1.0, 3.0),
             candidate_fractions=(0.0, 0.05, 0.15),
             radius=3.0,
             message_length=2,
-            protocols=[("NeighborWatchRB", "neighborwatch", 0)],
+            protocols=(_NW,),
             repetitions=1,
         )
-        rows = run_density_tolerance(spec)
         assert len(rows) == 2
         sparse = next(r for r in rows if r["density"] == 1.0)
         dense = next(r for r in rows if r["density"] == 3.0)
@@ -149,7 +148,8 @@ class TestDensityTolerance:
 @pytest.mark.slow
 class TestClustered:
     def test_clustered_vs_uniform(self):
-        spec = ClusteredSpec(
+        rows = _run(
+            "CLUST",
             map_size=9.0,
             num_nodes=140,
             num_clusters=4,
@@ -158,7 +158,6 @@ class TestClustered:
             lying_fractions=(0.0,),
             repetitions=1,
         )
-        rows = run_clustered(spec)
         kinds = {row["deployment"] for row in rows}
         assert kinds == {"uniform", "clustered"}
         for row in rows:
@@ -169,7 +168,7 @@ class TestClustered:
 @pytest.mark.slow
 class TestMapSize:
     def test_linear_scaling(self):
-        rows = run_map_size(MapSizeSpec.small())
+        rows = _run("MAPSZ", "small")
         assert len(rows) == 2
         assert rows[1]["rounds"] > rows[0]["rounds"]
         assert rows[1]["honest_broadcasts"] > rows[0]["honest_broadcasts"]
@@ -183,7 +182,7 @@ class TestMapSize:
 @pytest.mark.slow
 class TestEpidemicComparison:
     def test_neighborwatch_slower_but_same_ballpark(self):
-        rows = run_epidemic_comparison(EpidemicComparisonSpec.small())
+        rows = _run("EPID", "small")
         by_protocol = {row["protocol"]: row for row in rows}
         epidemic = by_protocol["epidemic"]
         nw = by_protocol["NeighborWatchRB"]
@@ -201,7 +200,7 @@ class TestEpidemicComparison:
 @pytest.mark.slow
 class TestDualMode:
     def test_dual_mode_accepts_and_bounds_overhead(self):
-        row = run_dual_mode(DualModeSpec.small())
+        (row,) = _run("DUAL", "small")
         assert row["acceptance_%"] > 90.0
         assert row["correct_%"] == pytest.approx(100.0)
         # Securing only the digest costs far less than securing the payload
@@ -209,6 +208,6 @@ class TestDualMode:
         assert row["overhead_factor"] < 10.0
 
     def test_rows_render_as_table(self):
-        row = run_dual_mode(DualModeSpec.small())
+        (row,) = _run("DUAL", "small")
         text = format_table([row])
         assert "overhead_factor" in text

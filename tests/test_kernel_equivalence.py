@@ -1,20 +1,20 @@
 """Fast-path-vs-oracle equivalence, and byte-identity end to end.
 
 PR 3 vectorized the per-round channel resolvers (`UnitDiskChannel` /
-`FriisChannel`) and added whole-round memoization to the engine; PR 4 added
-the cohort protocol runtime (`repro.sim.batch`), which executes
-observation-identical devices' state machines once per cohort.  The contract
-is strict bit-identity for both layers: each fast path must produce
-*identical observations/records* to its per-device/scalar oracle **and leave
-the RNG at exactly the same stream position** (otherwise every later draw of
-a run diverges).  These tests pin that contract:
+`FriisChannel`) and added whole-round memoization to the engine.  The
+contract is strict bit-identity: each fast path must produce *identical
+observations/records* to its scalar oracle **and leave the RNG at exactly
+the same stream position** (otherwise every later draw of a run diverges).
+These tests pin that contract:
 
 * property tests drive randomized listener/transmitter sets through both
   channel implementations side by side (same seed) and compare observation
   lists and the next RNG draw;
 * end-to-end tests run whole scenarios with the vectorized kernels forced
-  off — and, separately, with the cohort runtime toggled — and compare the
-  full result records and the channel-RNG position;
+  off — and, separately, with the SoA tier or spatial tiling toggled — and
+  compare the full result records and the channel-RNG position (randomized
+  SoA-vs-scalar properties live in ``tests/test_soa_kernels.py``);
+* golden records pin unit-disk capture, the input only the scalar loop runs;
 * a warm-store regression runs one experiment cold then warm through a
   ``ResultStore`` (the ``REPRO_BENCH_CACHE_DIR`` path of the benchmark
   harness) and asserts the fast path reproduces the cached bytes with zero
@@ -179,13 +179,36 @@ class TestEndToEndEquivalence:
         assert fast.to_record() == slow.to_record()
 
 
-class TestCohortRuntimeEquivalence:
-    """Cohort-vs-scalar protocol execution must not move a bit either.
+def _tier_config(protocol, **overrides):
+    from repro.sim.config import ScenarioConfig
 
-    Same discipline PR 3 applied to the channel kernels: full-record identity
-    across channels, loss/capture settings and fault plans, plus an explicit
-    channel-RNG stream-position check (stochastic configurations draw per
-    listener, so any divergence in execution order would surface here).
+    kwargs = dict(protocol=protocol, radius=3.0, message_length=3)
+    if protocol == "multipath":
+        kwargs.update(message_length=2, multipath_tolerance=1)
+    kwargs.update(overrides)
+    return ScenarioConfig(**kwargs)
+
+
+def _run_tier(deployment, config, faults=None, *, soa: bool, max_rounds=4000):
+    """One whole run on one execution tier: (record, RNG tail, SoA info)."""
+    from repro.sim.builder import build_simulation
+    from repro.sim.engine import clear_link_cache
+
+    clear_link_cache()
+    sim = build_simulation(deployment, config, faults, use_soa_kernels=soa)
+    record = sim.run(max_rounds).to_record()
+    return record, sim.rng.random(), sim.plan_cache_info()["soa_kernels"]
+
+
+class TestOracleTierEquivalence:
+    """SoA-vs-scalar protocol execution must not move a bit.
+
+    Full-record identity on the 25-device grid across channels, loss/capture
+    settings, the two-vote variant and fault plans, plus the channel-RNG
+    stream-position check (stochastic configurations draw per listener, so
+    any divergence in execution order would surface here).  Unit-disk
+    capture is ineligible for the SoA kernels: there the knob must fall back
+    to the scalar loop rather than approximate it.
     """
 
     @pytest.mark.parametrize(
@@ -203,36 +226,22 @@ class TestCohortRuntimeEquivalence:
     def test_full_run_identical_and_rng_position_matches(
         self, tiny_grid_deployment, protocol, channel, loss, capture
     ):
-        from repro.sim.builder import build_simulation
-        from repro.sim.config import ScenarioConfig
-        from repro.sim.engine import clear_link_cache
-
-        kwargs = dict(
-            protocol=protocol, radius=3.0, seed=17, channel=channel,
+        config = _tier_config(
+            protocol, seed=17, channel=channel,
             loss_probability=loss, capture_probability=capture,
         )
-        kwargs["message_length"] = 2 if protocol == "multipath" else 3
-        if protocol == "multipath":
-            kwargs["multipath_tolerance"] = 1
-        config = ScenarioConfig(**kwargs)
-
-        results = {}
-        for cohort in (False, True):
-            clear_link_cache()
-            sim = build_simulation(tiny_grid_deployment, config, use_cohort_runtime=cohort)
-            record = sim.run(4000).to_record()
-            results[cohort] = (record, sim.rng.random())
-        assert results[True][0] == results[False][0]
-        assert results[True][1] == results[False][1]
+        soa_record, soa_tail, info = _run_tier(tiny_grid_deployment, config, soa=True)
+        record, tail, _ = _run_tier(tiny_grid_deployment, config, soa=False)
+        assert soa_record == record
+        assert soa_tail == tail
+        assert info["enabled"] is (capture == 0.0)
 
     @pytest.mark.parametrize("scenario", ["jammers", "liars", "crashed"])
     def test_fault_plans_identical(self, tiny_grid_deployment, scenario):
         from repro.adversary.placement import random_fault_selection
-        from repro.sim.builder import run_scenario
-        from repro.sim.config import FaultPlan, ScenarioConfig
-        from repro.sim.engine import clear_link_cache
+        from repro.sim.config import FaultPlan
 
-        config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=29)
+        config = _tier_config("neighborwatch", seed=29)
         picks = random_fault_selection(
             tiny_grid_deployment.num_nodes, 4,
             exclude=[tiny_grid_deployment.source_index], rng=31,
@@ -244,11 +253,70 @@ class TestCohortRuntimeEquivalence:
         else:
             faults = FaultPlan(crashed=tuple(picks))
 
-        clear_link_cache()
-        scalar = run_scenario(tiny_grid_deployment, config, faults, use_cohort_runtime=False)
-        clear_link_cache()
-        cohort = run_scenario(tiny_grid_deployment, config, faults, use_cohort_runtime=True)
-        assert cohort.to_record() == scalar.to_record()
+        soa_record, soa_tail, info = _run_tier(tiny_grid_deployment, config, faults, soa=True)
+        record, tail, _ = _run_tier(tiny_grid_deployment, config, faults, soa=False)
+        assert soa_record == record
+        assert soa_tail == tail
+        assert info["enabled"]
+
+
+class TestUnitDiskCapturePins:
+    """Golden records for unit-disk capture, the one input the SoA tier
+    leaves to the scalar loop.
+
+    Each pin is the SHA-256 of the sorted-key JSON record plus the channel
+    RNG's next draw after the run.  The values were produced identically by
+    every execution path the simulator has had for this input, so a change
+    to the scalar loop's capture draw order, or to protocol execution under
+    collisions, moves a pin.  The RNG tail must also differ from the
+    capture-free run's: the pinned runs really do draw capture outcomes.
+    """
+
+    #: Next draw of a seed-23 channel RNG that was never consumed.
+    UNDRAWN_TAIL = 0.47815469933102206
+
+    PINS = {
+        ("neighborwatch", 0.3): (
+            "1685888efcdb269d1d951a71fa3df9b981d41bf838b45f3880dbb69e0fce1301",
+            0.3059505954502193,
+        ),
+        ("neighborwatch", 0.8): (
+            "1685888efcdb269d1d951a71fa3df9b981d41bf838b45f3880dbb69e0fce1301",
+            0.7256152283061043,
+        ),
+        ("neighborwatch2", 0.3): (
+            "de97f909710da0c077bedc96a1e06892a91137893182a0a9be176f1f9fdd6717",
+            0.1599875877536704,
+        ),
+        ("neighborwatch2", 0.8): (
+            "de97f909710da0c077bedc96a1e06892a91137893182a0a9be176f1f9fdd6717",
+            0.6277780644270691,
+        ),
+        ("multipath", 0.3): (
+            "b99c035335255be7561113595be4103fbe9eb60201b017ce0225551f77e6b567",
+            0.7362473397106256,
+        ),
+        ("multipath", 0.8): (
+            "b99c035335255be7561113595be4103fbe9eb60201b017ce0225551f77e6b567",
+            0.6517702986297818,
+        ),
+    }
+
+    @pytest.mark.parametrize("protocol,capture", sorted(PINS))
+    def test_record_and_rng_tail_match_pin(self, uniform_small_deployment, protocol, capture):
+        import hashlib
+
+        config = _tier_config(protocol, seed=23, capture_probability=capture)
+        expected_sha, expected_tail = self.PINS[(protocol, capture)]
+        for soa in (True, False):
+            record, tail, info = _run_tier(
+                uniform_small_deployment, config, soa=soa, max_rounds=2500
+            )
+            digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+            assert info == {"enabled": False}
+            assert digest == expected_sha
+            assert tail == expected_tail
+            assert tail != self.UNDRAWN_TAIL
 
 
 class TestWarmStoreByteIdentity:
@@ -278,7 +346,7 @@ class TestWarmStoreByteIdentity:
 class TestSpatialTilingEquivalence:
     """Tiled-vs-dense link state must not move a bit either.
 
-    Same discipline as the kernel and cohort layers: full-record identity
+    Same discipline as the kernel layer: full-record identity
     across protocols, channels and loss/capture settings, plus the explicit
     channel-RNG stream-position check.  The 600- and 1200-node cases are the
     PR's stated scale pins — uniform deployments at the benchmark macros'
@@ -345,9 +413,9 @@ class TestSpatialTilingEquivalence:
         serialized = {}
         for tiled in (False, True):
             clear_link_cache()
-            # Pinned to the cohort/scalar tiers: the tiled round counters
-            # asserted below only accumulate when rounds resolve through the
-            # link state, which the SoA slot kernels bypass.
+            # Pinned to the scalar tier: only its rounds resolve through the
+            # link state (and, tiled, its CSR round views); the SoA slot
+            # kernels bypass both.
             sim = build_simulation(
                 deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
             )
@@ -360,5 +428,6 @@ class TestSpatialTilingEquivalence:
             assert info["enabled"] is tiled
             if tiled:
                 assert info["sparse_nnz"] < num_nodes * num_nodes
-                assert info["rounds_resolved"] > 0
+                assert info["sparse_round_kernel"]
+                assert sim.plan_cache_info()["submatrix"]["misses"] > 0
         assert serialized[True] == serialized[False]

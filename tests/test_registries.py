@@ -2,8 +2,8 @@
 
 Covers the registration contract the PR 5 redesign introduced: duplicate keys
 raise immediately, unknown keys list the candidates, lookups are
-alias-tolerant, and every registered protocol declares the shareable-contract
-fields the cohort runtime requires.
+alias-tolerant, and every registered protocol plugin provides callable
+builders and survives pickling.
 """
 
 from __future__ import annotations
@@ -121,35 +121,42 @@ class TestBuiltinRegistrations:
 
 
 class TestProtocolContract:
-    """Every registered protocol must declare the cohort-runtime contract."""
-
-    @pytest.mark.parametrize("key", ["neighborwatch", "neighborwatch2", "multipath", "epidemic"])
-    def test_declares_shareable_contract_fields(self, key):
-        plugin = PROTOCOLS.get(key)
-        assert plugin.protocol_classes, f"{key} declares no protocol classes"
-        for cls in plugin.protocol_classes:
-            assert isinstance(cls.shareable, bool)
-            assert cls.shared_observation_attr is None or isinstance(
-                cls.shared_observation_attr, str
-            )
-            assert callable(cls.cohort_key)
+    """Every registered protocol plugin provides callable builders and pickles."""
 
     def test_plugins_are_picklable(self):
         for key in PROTOCOLS.keys():
             pickle.loads(pickle.dumps(PROTOCOLS.get(key)))
 
-    def test_missing_shareable_declaration_is_rejected(self):
+    @pytest.mark.parametrize("key", ["neighborwatch", "neighborwatch2", "multipath", "epidemic"])
+    def test_builders_return_protocols_and_a_schedule(self, key, tiny_grid_deployment):
+        from repro.core.protocol import Protocol
+        from repro.core.schedule import Schedule
+        from repro.sim.config import ScenarioConfig
+
+        plugin = PROTOCOLS.get(key)
+        config = ScenarioConfig(protocol=key, radius=3.0, message_length=3)
+        honest = plugin.build(config)
+        liar = plugin.build_liar(config, (1, 0, 1))
+        schedule = plugin.build_schedule(tiny_grid_deployment, config)
+        assert isinstance(honest, Protocol)
+        # A liar runs the honest protocol, only preloaded with a fake message.
+        assert type(liar) is type(honest)
+        assert isinstance(schedule, Schedule)
+        owners = {
+            int(node)
+            for slot in range(schedule.num_slots)
+            for node in schedule.owners_of_slot(slot)
+        }
+        assert owners == set(range(tiny_grid_deployment.num_nodes))
+
+    @pytest.mark.parametrize("method", ["build", "build_liar", "build_schedule"])
+    def test_missing_builder_is_rejected(self, method):
         registry = Registry(
             "protocol", validator=PROTOCOLS._validator, instantiate=True
         )
-
-        class Bare:
-            pass
 
         @registry.register("bogus")
         class BogusPlugin(ProtocolPlugin):
-            protocol_classes = (Bare,)
-
             def build(self, config):  # pragma: no cover - never called
                 return None
 
@@ -159,24 +166,19 @@ class TestProtocolContract:
             def build_schedule(self, deployment, config):  # pragma: no cover
                 return None
 
-        with pytest.raises(RegistryError, match="shareable"):
+        setattr(BogusPlugin, method, None)
+        with pytest.raises(RegistryError, match=f"callable {method}"):
             registry.get("bogus")
 
-    def test_shareable_without_cohort_key_is_rejected(self):
-        from repro.core.protocol import Protocol
-
+    def test_unpicklable_plugin_is_rejected(self):
         registry = Registry(
             "protocol", validator=PROTOCOLS._validator, instantiate=True
         )
 
-        class NoKey(Protocol):
-            shareable = True
-            shared_observation_attr = None
-
-        @registry.register("nokey")
-        class NoKeyPlugin(ProtocolPlugin):
-            protocol_classes = (NoKey,)
-
+        # Defined in a function body, so pickle cannot look the class up by
+        # name: the sweep executor could never ship it to a worker process.
+        @registry.register("local")
+        class LocalPlugin(ProtocolPlugin):
             def build(self, config):  # pragma: no cover - never called
                 return None
 
@@ -186,8 +188,8 @@ class TestProtocolContract:
             def build_schedule(self, deployment, config):  # pragma: no cover
                 return None
 
-        with pytest.raises(RegistryError, match="cohort_key"):
-            registry.get("nokey")
+        with pytest.raises(RegistryError, match="not picklable"):
+            registry.get("local")
 
     def test_factory_registries_reject_non_dataclasses(self):
         registry = Registry("deployment", validator=DEPLOYMENTS._validator)

@@ -168,22 +168,28 @@ class TestSweepExecutor:
 
 class TestExperimentsCli:
     def test_list(self, capsys):
-        assert experiments_main(["--list"]) == 0
+        assert experiments_main(["list"]) == 0
         out = capsys.readouterr().out
         assert "FIG5" in out and "DUAL" in out
+        # Only the subcommand grammar is accepted: a stray --list is a usage
+        # error, not a silent listing that exits 0.
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["run", "FIG5", "--list"])
+        assert excinfo.value.code == 2
+        assert "--list" in capsys.readouterr().err
 
     def test_no_argument_lists(self, capsys):
         assert experiments_main([]) == 0
         assert "FIG5" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        assert experiments_main(["FIG99"]) == 2
+        assert experiments_main(["run", "FIG99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_smoke_small_scale_with_workers(self, capsys):
         """Tier-1 smoke test of the CLI multiprocessing path: the cheapest
         registered experiment, small scale, two workers."""
-        assert experiments_main(["DUAL", "--scale", "small", "--workers", "2"]) == 0
+        assert experiments_main(["run", "DUAL", "--scale", "small", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "DUAL" in out
         assert "overhead_factor" in out
@@ -194,7 +200,7 @@ class TestExperimentsCli:
         import pstats
 
         path = tmp_path / "dual.pstats"
-        assert experiments_main(["DUAL", "--scale", "small", "--profile-out", str(path)]) == 0
+        assert experiments_main(["run", "DUAL", "--scale", "small", "--profile-out", str(path)]) == 0
         captured = capsys.readouterr()
         assert path.exists()
         assert f"profile written to {path}" in captured.err
@@ -209,7 +215,7 @@ class TestExperimentsCli:
         src = str(REPO_ROOT / "src")
         env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
         result = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "DUAL", "--scale", "small", "--workers", "2"],
+            [sys.executable, "-m", "repro.experiments", "run", "DUAL", "--scale", "small", "--workers", "2"],
             capture_output=True,
             text=True,
             timeout=300,

@@ -1,12 +1,12 @@
 """Struct-of-arrays slot kernels: eligibility, counters and oracle fidelity.
 
-PR 7 added a third execution tier (:mod:`repro.sim.soa`): broadcast slots of
-the busy-driven protocols lower to packed-bitmask kernels that run whole slot
-groups in mask algebra, bypassing the per-device phase machines.  PR 9
-extended the tier to loss configurations (batched listener-ordered draws),
-Friis power-sum busy groups, and traced runs (events synthesized from the
-packed masks); only unit-disk capture stays on the scalar/cohort tiers, its
-draws being data-dependent.  These tests pin
+The struct-of-arrays execution tier (:mod:`repro.sim.soa`) lowers broadcast
+slots of the busy-driven protocols to packed-bitmask kernels that run whole
+slot groups in mask algebra, bypassing the per-device state machines.  It
+covers loss configurations (batched listener-ordered draws), Friis power-sum
+busy groups, and traced runs (events synthesized from the packed masks);
+only unit-disk capture stays on the scalar tier, its draws being
+data-dependent.  These tests pin
 
 * the control surface — the ``use_soa_kernels`` knob, the
   ``REPRO_SOA_KERNELS`` env default and the per-capability eligibility gate
@@ -14,22 +14,14 @@ draws being data-dependent.  These tests pin
   ``plan_cache_info()["soa_kernels"]`` counters including the busy-cache
   eviction count and thrash warning;
 * the hard contract — exported records *and* the channel RNG stream position
-  are bit-identical across the SoA, cohort and scalar tiers for every
+  are bit-identical between the SoA tier and the scalar oracle for every
   compiled capability (deterministic, lossy, Friis, Friis+loss), including
   runs where jammers force per-slot scalar fallbacks, and traced SoA runs
-  produce byte-identical event streams to the scalar loop; and
-* the region-keyed MultiPath cohort contract that rode along: devices whose
-  :func:`~repro.core.regions.region_profile_of` profiles (and states) are
-  equal share one machine, split exactly when their busy streams diverge, and
-  never group when the profiles differ.  Under the paper's standard ``3R``
-  slot separation such cohorts cannot exist (two same-slot devices are more
-  than ``3R`` apart, hence have disjoint R-balls), so the geometries below
-  deliberately shrink ``schedule_separation``.
+  produce byte-identical event streams to the scalar loop.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,15 +29,14 @@ from repro.sim.builder import build_simulation
 from repro.sim.config import FaultPlan, ScenarioConfig
 from repro.sim.engine import clear_link_cache, default_soa_kernels
 from repro.sim.events import EventLog
-from repro.topology.deployment import Deployment, uniform_deployment
+from repro.topology.deployment import uniform_deployment
 
 MAX_ROUNDS = 2500
 
-#: (knob kwargs, human name) for the three execution tiers.
+#: (human name, knob kwargs) for the two execution tiers.
 TIERS = (
     ("soa", {"use_soa_kernels": True}),
-    ("cohort", {"use_soa_kernels": False, "use_cohort_runtime": True}),
-    ("scalar", {"use_soa_kernels": False, "use_cohort_runtime": False}),
+    ("scalar", {"use_soa_kernels": False}),
 )
 
 
@@ -64,10 +55,9 @@ def _run_tiers(deployment, config, faults=None, max_rounds=MAX_ROUNDS):
 
 def _assert_tiers_identical(runs):
     soa_record, soa_tail, _ = runs["soa"]
-    for tier in ("cohort", "scalar"):
-        record, tail, _ = runs[tier]
-        assert record == soa_record, f"soa record differs from {tier}"
-        assert tail == soa_tail, f"soa RNG position differs from {tier}"
+    record, tail, _ = runs["scalar"]
+    assert record == soa_record, "soa record differs from scalar"
+    assert tail == soa_tail, "soa RNG position differs from scalar"
 
 
 class TestDefaultKnob:
@@ -94,10 +84,6 @@ class TestEligibility:
         assert info["enabled"]
         assert info["slots_compiled"] > 0
         assert info["member_slots"] >= info["slots_compiled"]
-        # The SoA tier replaces cohort execution outright (the cohort runtime
-        # rebinds node protocols to shared machines, which would invalidate
-        # the compiled slot specs).
-        assert sim.plan_cache_info()["cohort_runtime"] == {"enabled": False}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -114,7 +100,7 @@ class TestEligibility:
 
     def test_unitdisk_capture_is_ineligible(self, uniform_small_deployment):
         # Capture draws interleave a uniform and an integer choice per
-        # collision — data-dependent, unbatchable, hence scalar/cohort only.
+        # collision — data-dependent, unbatchable, hence scalar only.
         config = ScenarioConfig(
             protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
             capture_probability=0.5,
@@ -258,7 +244,6 @@ class TestTraceSynthesis:
             uniform_small_deployment,
             config,
             use_soa_kernels=False,
-            use_cohort_runtime=False,
         )
         assert soa == scalar
 
@@ -291,108 +276,6 @@ class TestCounters:
         assert info["busy_cache_evictions"] > 0
 
 
-def _mp_cluster_deployment(profile_break: float = 0.0) -> Deployment:
-    """A Friis geometry producing one genuine two-member MultiPath cohort.
-
-    The candidate pair shares the unit square ``(10, 5)`` (side ``R/3`` for
-    ``R = 3``), one R-ball and one set of 2R owner views, so their region
-    profiles are equal; at 0.6 apart (> ``schedule_separation`` 0.5) the
-    greedy colouring gives both slot 1.  Node 3 — a preloaded liar, hence a
-    sender with pending COMMIT frames — conflicts with nobody and also lands
-    in slot 1, co-owning the pair's broadcast interval.  Its distance to the
-    two members straddles the Friis carrier-sense range (``1.5 * R = 4.5``):
-    4.45 to the near member (busy) and 5.05 to the far one (silent).  The
-    pair are blockers in their own slot and listen during phases 0-3, so the
-    liar's first data-bit broadcast is the first state-relevant divergence,
-    which must split the cohort.  The liar stays outside both R-balls
-    (> 3) and inside both 2R owner views (< 6), so the region profiles stay
-    equal.  ``profile_break`` shifts the far member right; at 0.5 it crosses
-    into the next region square, which must keep the devices singleton even
-    though their protocol states are identical.
-    """
-    positions = np.asarray(
-        [
-            [1.0, 1.0],  # source, out of sense range of everything
-            [10.2, 5.0],  # near pair member
-            [10.8 + profile_break, 5.0],  # far pair member
-            [5.75, 5.0],  # straddling liar, co-owner of the pair's slot
-        ]
-    )
-    return Deployment(positions=positions, width=16.0, height=10.0, source_index=0)
-
-
-def _mp_cluster_config() -> ScenarioConfig:
-    # separation < pair distance (0.6): the pair may share a slot.  Friis
-    # busy depends on exact distances (not the R-ball), which is what lets
-    # two profile-equal devices diverge at all — under unit disk an equal
-    # R-ball implies identical busy forever.
-    return ScenarioConfig(
-        protocol="multipath",
-        radius=3.0,
-        message_length=2,
-        multipath_tolerance=0,
-        seed=3,
-        channel="friis",
-        schedule_separation=0.5,
-    )
-
-
-class TestRegionKeyedMultipathCohorts:
-    def test_profile_equal_pair_shares_then_splits_at_divergence(self):
-        deployment = _mp_cluster_deployment()
-        config = _mp_cluster_config()
-        # The liar is the divergence driver: a slot-1 co-owner with preloaded
-        # COMMIT frames, straddling the pair's carrier-sense range.
-        faults = FaultPlan(liars=(3,))
-
-        clear_link_cache()
-        oracle = build_simulation(
-            deployment, config, faults, use_cohort_runtime=False, use_soa_kernels=False
-        )
-        oracle_record = oracle.run(400).to_record()
-
-        clear_link_cache()
-        sim = build_simulation(
-            deployment, config, faults, use_cohort_runtime=True, use_soa_kernels=False
-        )
-        pair = [n.protocol for n in sim.nodes if n.node_id in (1, 2)]
-        assert pair[0].region_profile == pair[1].region_profile
-        info = sim.plan_cache_info()["cohort_runtime"]
-        assert info["enabled"] and info["shared_members"] == 2
-
-        record = sim.run(400).to_record()
-        assert record == oracle_record
-        after = sim.plan_cache_info()["cohort_runtime"]
-        assert after["divergence_splits"] > 0
-
-    def test_profile_mismatch_stays_singleton(self):
-        deployment = _mp_cluster_deployment(profile_break=0.5)
-        config = _mp_cluster_config()
-        clear_link_cache()
-        sim = build_simulation(
-            deployment,
-            config,
-            FaultPlan(liars=(3,)),
-            use_cohort_runtime=True,
-            use_soa_kernels=False,
-        )
-        pair = [n.protocol for n in sim.nodes if n.node_id in (1, 2)]
-        assert pair[0].region_profile != pair[1].region_profile
-        info = sim.plan_cache_info()["cohort_runtime"]
-        assert info["shared_members"] == 0
-
-    def test_standard_separation_forbids_multipath_cohorts(
-        self, tiny_grid_deployment, mp_config
-    ):
-        # The paper's 3R separation: same-slot devices are > 3R apart, so no
-        # two can share an R-ball and the region key degenerates to
-        # singletons — the historical all-singleton behaviour.
-        sim = build_simulation(
-            tiny_grid_deployment, mp_config, use_cohort_runtime=True, use_soa_kernels=False
-        )
-        assert sim.plan_cache_info()["cohort_runtime"]["shared_members"] == 0
-
-
 class TestDescribeTierEligibility:
     """``experiments describe`` must advertise which execution tier runs."""
 
@@ -413,7 +296,7 @@ class TestDescribeTierEligibility:
         assert lossy[0].startswith("execution tier: struct-of-arrays")
         assert any("loss_probability=0.2" in line for line in lossy)
         capture = _tier_lines({"capture_probability": 0.5})
-        assert capture[0].startswith("execution tier: cohort runtime")
+        assert capture[0].startswith("execution tier: scalar oracle")
         assert any(
             "capture_probability=0.5" in line and "scalar" in line
             for line in capture

@@ -339,7 +339,7 @@ class TestPointResultRecords:
 
 class TestCliCache:
     def run_cli(self, capsys, *argv) -> tuple[int, str, str]:
-        code = experiments_main(list(argv))
+        code = experiments_main(["run", *argv])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
