@@ -17,21 +17,16 @@ test:
 # The varied knob is the protocol execution tier: the baseline is the
 # scalar oracle (struct-of-arrays kernels pinned off), the current run the
 # SoA slot kernels (--runtime soa; they also cover loss,
-# Friis power-sum and traced configurations).  Both labels use --tiling on,
-# which resolves to the auto threshold for the suite (small deployments
-# stay dense — forcing CSR onto them was the DUAL/MAPSZ regression in
-# BENCH_6) and forces the sparse CSR tier for the paper-scale macros, so
-# the requires_tiling 10^5-node macros run under both labels.
+# Friis power-sum and traced configurations).
 BENCH_RUNTIME_BASELINE ?= scalar
 BENCH_RUNTIME_CURRENT ?= soa
-BENCH_TILING ?= on
 bench:
-	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT) --tiling $(BENCH_TILING)
+	$(PYTHON) benchmarks/capture.py --pr $(PR) --label current --runtime $(BENCH_RUNTIME_CURRENT)
 	$(PYTHON) benchmarks/trend.py
 
 # Capture the pre-change baseline (run this before starting a perf change).
 bench-baseline:
-	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE) --tiling $(BENCH_TILING)
+	$(PYTHON) benchmarks/capture.py --pr $(PR) --label baseline --runtime $(BENCH_RUNTIME_BASELINE)
 
 # CI smoke: verify BENCH_$(PR).json exists and its suite hashes reproduce,
 # then check exports are byte-identical between the SoA kernels and the

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..topology.geometry import as_positions, pairwise_distances
+from ..topology.geometry import as_positions
 from ..topology.grid import GridBuckets
 from .regions import SquareGrid, SquareId
 
@@ -51,15 +51,6 @@ PHASES_PER_SLOT = 6
 
 #: The slot reserved for the broadcast source.
 SOURCE_SLOT = 0
-
-#: Deployment size above which :class:`NodeSchedule` derives its conflict and
-#: listening neighborhoods from grid-bucketed queries instead of dense
-#: ``N x N`` distance matrices.  Both paths filter with the same elementwise
-#: distance arithmetic and yield neighbor ids in the same ascending order, so
-#: the greedy colouring and the neighbor-slot tables are identical — only the
-#: memory (O(N * neighborhood) vs O(N^2)) differs.
-BUCKETED_SCHEDULE_MIN_NODES = 2048
-
 
 class Schedule(abc.ABC):
     """Common round/slot arithmetic for TDMA schedules."""
@@ -277,11 +268,7 @@ class NodeSchedule(Schedule):
 
         slots = np.zeros(n, dtype=int)
         if n > 1:
-            # The conflict neighborhoods come from a dense distance matrix on
-            # small deployments and from grid-bucketed queries on large ones;
-            # both filter with the same elementwise distance arithmetic and
-            # list neighbors in ascending id order, so the colouring below is
-            # identical either way.
+            # Grid-bucketed conflict neighborhoods, ascending in node id.
             neighbors_of = self._neighborhoods(self.separation, include_self=False)
             source = self.source_index
             for node in range(n):
@@ -313,28 +300,20 @@ class NodeSchedule(Schedule):
         self._neighbor_slot_tables: dict[float, list[list[int]]] = {}
 
     def _neighborhoods(self, threshold: float, *, include_self: bool):
-        """Per-node neighbor ids at ``threshold``, dense or grid-bucketed.
+        """Per-node neighbor ids at ``threshold`` from grid-bucketed queries.
 
-        Returns a callable ``node -> ascending neighbor id array``.  Small
-        deployments slice a dense pairwise matrix (the historical oracle);
-        at :data:`BUCKETED_SCHEDULE_MIN_NODES` nodes and above the same sets
-        come from :class:`~repro.topology.grid.GridBuckets` CSR arrays built
-        without materializing anything quadratic.  The distance predicate is
-        the same elementwise expression in both paths, so the neighbor sets
-        match exactly.
+        Returns a callable ``node -> ascending neighbor id array``, read off
+        :class:`~repro.topology.grid.GridBuckets` CSR arrays built without
+        materializing anything quadratic.  The distance predicate is the
+        elementwise expression of
+        :func:`~repro.topology.geometry.pairwise_distances`, so the sets equal
+        the brute-force ``distance <= threshold`` ones exactly.
         """
-        n = self.positions.shape[0]
-        if n >= BUCKETED_SCHEDULE_MIN_NODES and threshold > 0:
-            buckets = GridBuckets(self.positions, cell_size=threshold)
-            indptr, indices = buckets.neighbor_arrays(
-                threshold, self.norm, include_self=include_self
-            )
-            return lambda node: indices[indptr[node] : indptr[node + 1]]
-        dist = pairwise_distances(self.positions, norm=self.norm)
-        within = dist <= threshold
-        if not include_self:
-            np.fill_diagonal(within, False)
-        return lambda node: np.nonzero(within[node])[0]
+        # Any positive cell size is correct; a non-positive threshold keeps
+        # only coincident nodes, and the radius is a fine cell for that.
+        buckets = GridBuckets(self.positions, cell_size=threshold if threshold > 0 else self.radius)
+        indptr, indices = buckets.neighbor_arrays(threshold, self.norm, include_self=include_self)
+        return lambda node: indices[indptr[node] : indptr[node + 1]]
 
     # -- Schedule interface ---------------------------------------------------------
     def slot_of_node(self, node_id: int) -> int:
@@ -347,10 +326,8 @@ class NodeSchedule(Schedule):
         """Slots of devices within communication range of ``node_id`` (plus the source slot).
 
         Every device queries this during protocol setup, so the answers for a
-        given radius are computed for all nodes in one pass (dense on small
-        deployments, grid-bucketed on large ones — identical sets either way,
-        see :meth:`_neighborhoods`) and cached; subsequent calls are a list
-        copy.
+        given radius are computed for all nodes in one pass (see
+        :meth:`_neighborhoods`) and cached; subsequent calls are a list copy.
         """
         r = self.radius if listen_radius is None else listen_radius
         table = self._neighbor_slot_tables.get(r)

@@ -293,55 +293,6 @@ def run_spec(
     return driver.run(spec, context, executor=executor, store=store)
 
 
-def _format_bytes(num: int) -> str:
-    value = float(num)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024.0 or unit == "TiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024.0
-    return f"{int(num)} B"  # pragma: no cover - unreachable
-
-
-def _memory_lines(context: Mapping[str, Any]) -> list[str]:
-    """Dense link-state memory estimate lines for ``describe`` output.
-
-    Shown whenever the resolved context pins a concrete node count: the node
-    count, what the dense ``N x N`` link state of the configured channel would
-    occupy, and — when that is large — a reminder that the sparse
-    spatially-tiled tier avoids materializing it.
-    """
-    from ..sim.config import dense_link_state_bytes
-    from ..sim.engine import SPATIAL_TILING_AUTO_NODES
-
-    num_nodes = context.get("num_nodes")
-    if not isinstance(num_nodes, int):
-        # Density-driven specs resolve the deployed count under another name.
-        num_nodes = context.get("num_deployed")
-    if not isinstance(num_nodes, int) or num_nodes <= 0:
-        return []
-    channel = context.get("channel", "unitdisk")
-    try:
-        dense = dense_link_state_bytes(num_nodes, str(channel))
-    except Exception:
-        return []
-    lines = [
-        f"memory: {num_nodes} nodes — dense {channel} link state would be "
-        f"{_format_bytes(dense)}"
-    ]
-    if num_nodes > SPATIAL_TILING_AUTO_NODES:
-        lines.append(
-            "  spatial tiling auto-enables at this size "
-            f"(> {SPATIAL_TILING_AUTO_NODES} nodes); the sparse tier never "
-            "materializes the dense matrix"
-        )
-    else:
-        lines.append(
-            "  (spatial tiling available via REPRO_SPATIAL_TILING=1; "
-            f"auto-enables above {SPATIAL_TILING_AUTO_NODES} nodes)"
-        )
-    return lines
-
-
 def _tier_lines(context: Mapping[str, Any]) -> list[str]:
     """Execution-tier eligibility lines for ``describe`` output.
 
@@ -420,7 +371,6 @@ def describe_spec(spec: ExperimentSpec, *, scale: Optional[str] = None) -> str:
     lines.append("resolved parameters:")
     for key, value in context.items():
         lines.append(f"  {key} = {json.dumps(value, default=str)}")
-    lines.extend(_memory_lines(context))
     lines.extend(_tier_lines(context))
     lines.extend(_fabric_lines())
     if spec.axes:

@@ -51,19 +51,17 @@ def build_simulation(
     faults: Optional[FaultPlan] = None,
     *,
     trace: Optional[EventLog] = None,
-    use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
 ) -> Simulation:
     """Wire a deployment, a scenario and a fault plan into a Simulation.
 
-    ``use_spatial_tiling`` and ``use_soa_kernels`` are forwarded to
-    :class:`~repro.sim.engine.Simulation` (``None`` = process default): the
-    first selects between the sparse spatially-tiled link-state tier and the
-    dense ``N x N`` matrices, the second enables the struct-of-arrays slot
-    kernels for eligible protocol/channel combinations (the per-device
-    scalar loop runs everything else).  Both are pure memory/throughput
-    knobs — results are bit-identical either way, so they are *not* part of
-    :class:`ScenarioConfig` and never enter store fingerprints.
+    ``use_soa_kernels`` is forwarded to
+    :class:`~repro.sim.engine.Simulation` (``None`` = process default): it
+    enables the struct-of-arrays slot kernels for eligible protocol/channel
+    combinations (the per-device scalar loop runs everything else).  It is a
+    pure throughput knob — results are bit-identical either way, so it is
+    *not* part of :class:`ScenarioConfig` and never enters store
+    fingerprints.
     """
     faults = faults if faults is not None else FaultPlan()
     faults.validate_for(deployment.num_nodes, deployment.source_index)
@@ -126,7 +124,6 @@ def build_simulation(
         message,
         rng=rng_factory.generator("channel"),
         trace=trace,
-        use_spatial_tiling=use_spatial_tiling,
         use_soa_kernels=use_soa_kernels,
     )
 
@@ -155,7 +152,6 @@ def run_scenario(
     *,
     trace: Optional[EventLog] = None,
     max_rounds: Optional[int] = None,
-    use_spatial_tiling: Optional[bool] = None,
     use_soa_kernels: Optional[bool] = None,
     info_sink: Optional[dict] = None,
 ) -> RunResult:
@@ -163,7 +159,7 @@ def run_scenario(
 
     When ``info_sink`` is given, the simulation's post-run
     :meth:`~repro.sim.engine.Simulation.plan_cache_info` snapshot is copied
-    into it — runtime-tier telemetry (SoA/tiling counters) for
+    into it — runtime-tier telemetry (SoA and link-state counters) for
     benchmark captures, without widening the closed result-metadata schema.
     """
     simulation = build_simulation(
@@ -171,7 +167,6 @@ def run_scenario(
         config,
         faults,
         trace=trace,
-        use_spatial_tiling=use_spatial_tiling,
         use_soa_kernels=use_soa_kernels,
     )
     faults = faults if faults is not None else FaultPlan()

@@ -32,7 +32,6 @@ __all__ = [
     "ScenarioConfig",
     "FaultPlan",
     "default_message",
-    "dense_link_state_bytes",
 ]
 
 
@@ -50,21 +49,6 @@ def canonical_protocol(value: str) -> str:
 def canonical_channel(value: str) -> str:
     """The canonical registry key of a channel name (see :func:`canonical_protocol`)."""
     return CHANNELS.canonical(value)
-
-
-def dense_link_state_bytes(num_nodes: int, channel: str) -> int:
-    """Bytes the dense ``N x N`` link state of ``channel`` would occupy.
-
-    The unit-disk audibility mask is one byte per pair (``bool``), the Friis
-    received-power matrix eight (``float64``).  Used by the experiment
-    ``describe`` command and the memory-budget guard messaging to show, before
-    anything is allocated, what the sparse spatially-tiled tier
-    (``use_spatial_tiling`` / ``REPRO_SPATIAL_TILING``) avoids.
-    """
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be >= 0")
-    itemsize = 8 if canonical_channel(channel) == "friis" else 1
-    return num_nodes * num_nodes * itemsize
 
 
 def default_message(length: int) -> Bits:

@@ -23,14 +23,9 @@ Compiled slot plans
 Everything static about a run is compiled once at construction into a
 :class:`~repro.sim.plan.SlotPlan`: per-slot participant records with bound
 protocol methods, frozen participant id arrays, flex-candidate lists for
-opportunistic transmitters, interned transmissions, an LRU of link-state
-submatrices keyed by ``(slot occurrence, sender set)``, and — for channels
+opportunistic transmitters, interned transmissions, and — for channels
 whose resolution consumes no RNG — a memo of whole resolved rounds keyed by
-``(slot occurrence, senders, frames)``.  Together with the channel's pairwise
-link state (cached per ``(channel, positions)`` pair in a small module-level
-LRU so repeated simulations over the same deployment reuse it), the steady
-state of a run resolves each round with a handful of dict lookups instead of
-distance computations and per-listener Python loops.  ``Schedule.iter_slot_starts``
+``(slot occurrence, senders, frames)``.  ``Schedule.iter_slot_starts``
 replaces the per-slot divmod arithmetic of ``locate_round``.
 
 Execution tiers
@@ -50,22 +45,22 @@ adversary transmitter, and every non-compilable configuration — runs on the
 per-device loop in :meth:`Simulation._run_slot_scalar`, which is also the
 scalar oracle the SoA kernels are pinned against.
 
-Spatially-tiled link state
---------------------------
-Below the plan, the *channel* layer can run on the sparse spatially-tiled
-tier (:mod:`repro.sim.linkstate`): instead of the dense ``N x N`` audibility
-or power matrix, the engine keeps node positions plus a CSR neighborhood
-built per region tile, and unit-disk rounds resolve through per-sender CSR
-rows with only boundary-crossing transmissions exchanged between tiles.  The
-knob is ``use_spatial_tiling`` (env ``REPRO_SPATIAL_TILING``, auto-on above
-:data:`SPATIAL_TILING_AUTO_NODES` nodes); dense kernels remain the oracle.
+Link state
+----------
+Below the plan, the channel keeps one CSR link state
+(:mod:`repro.sim.linkstate`) at every node count: node positions plus each
+node's neighborhood out to the interaction range, built per region tile.  It
+is cached per ``(channel, positions)`` pair in a small module-level LRU, so
+repeated simulations over the same deployment reuse it.  The SoA tier reads
+its group adjacency and power blocks from it; the scalar loop resolves each
+round one way — round memo, then the state's exact ``submatrix``, then
+:meth:`~repro.sim.radio.Channel.resolve_links`.
 
 The RNG contract is strict: stochastic channel configurations bypass the
 round memo entirely and consume the generator exactly as the scalar reference
-kernels would, and the SoA and tiled round kernels preserve listener order
-per round, so every result — including the content-addressed
-store fingerprints of :mod:`repro.store` — is bit-identical to the pre-plan
-engine.
+kernels would, and the SoA kernels preserve listener order per round, so
+every result — including the content-addressed store fingerprints of
+:mod:`repro.store` — is bit-identical to the pre-plan engine.
 
 Deliveries are stamped with the exact round at the end of the slot in which
 they happened (not at the next periodic check), so ``delivery_round`` and the
@@ -83,7 +78,7 @@ import numpy as np
 from ..core.protocol import Observation, SILENCE
 from ..core.schedule import Schedule
 from .events import EventKind, EventLog
-from .linkstate import SparseLinkState
+from .linkstate import LinkState
 from .node import SimNode
 from .plan import REC_ID, REC_NODE, REC_ACT, REC_OBSERVE, REC_END_SLOT, REC_HONEST, REC_POSITION, SlotPlan
 from .radio import Channel, Transmission
@@ -95,48 +90,15 @@ __all__ = [
     "link_cache_info",
     "clear_link_cache",
     "default_soa_kernels",
-    "default_spatial_tiling",
-    "SPATIAL_TILING_AUTO_NODES",
 ]
-
-#: Node count above which spatial tiling turns on automatically (the dense
-#: link state is still comfortable below it; above it the N^2 matrices start
-#: to dominate memory).  Override per process with
-#: ``REPRO_SPATIAL_TILING_AUTO_NODES``.
-SPATIAL_TILING_AUTO_NODES = 4096
-
-
-def default_spatial_tiling(num_nodes: int) -> bool:
-    """Process-wide default for :class:`Simulation`'s ``use_spatial_tiling``.
-
-    Controlled by ``REPRO_SPATIAL_TILING``: ``1``/``true`` forces the sparse
-    spatially-tiled link-state tier on at every size, ``0``/``false`` forces
-    the dense tier, and the default (``auto``) enables tiling above
-    :data:`SPATIAL_TILING_AUTO_NODES` nodes.  Like the SoA kernel knob, this
-    is a pure memory/throughput setting: tiled and untiled runs are
-    bit-identical (store fingerprints, exported rows and RNG stream positions
-    included), so it lives outside :class:`~repro.sim.config.ScenarioConfig`
-    and never enters fingerprints.
-    """
-    value = os.environ.get("REPRO_SPATIAL_TILING", "auto").strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    threshold_raw = os.environ.get("REPRO_SPATIAL_TILING_AUTO_NODES", "").strip()
-    try:
-        threshold = int(threshold_raw) if threshold_raw else SPATIAL_TILING_AUTO_NODES
-    except ValueError:
-        threshold = SPATIAL_TILING_AUTO_NODES
-    return num_nodes > threshold
 
 
 def default_soa_kernels() -> bool:
     """Process-wide default for :class:`Simulation`'s ``use_soa_kernels``.
 
     Controlled by the ``REPRO_SOA_KERNELS`` environment variable (default
-    on; ``0``/``false``/``no``/``off`` disable it).  Like the tiling knob
-    this is a pure throughput setting: the struct-of-arrays
+    on; ``0``/``false``/``no``/``off`` disable it).  It is a pure throughput
+    setting: the struct-of-arrays
     slot kernels (:mod:`repro.sim.soa`) are bit-identical to the per-device
     oracle — exported rows, store fingerprints, ``delivery_round`` stamps,
     broadcast counts and RNG stream positions included — so it lives outside
@@ -145,14 +107,15 @@ def default_soa_kernels() -> bool:
     value = os.environ.get("REPRO_SOA_KERNELS", "1").strip().lower()
     return value not in ("0", "false", "no", "off")
 
-#: Bounded cache of channel link states (audibility sets / power matrices),
+
+#: Bounded cache of channel link states (CSR neighborhoods + positions),
 #: keyed by the channel's link signature and the (immutable) bytes of the
 #: position array.  A handful of entries is enough: within one process the
 #: same deployment is typically re-simulated back-to-back (protocol
 #: comparisons, repeated seeds).  Introspect with :func:`link_cache_info`,
 #: reset with :func:`clear_link_cache` — tests that assert on cache behaviour
 #: must clear it first or they observe each other's entries.
-_LINK_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+_LINK_CACHE: "OrderedDict[tuple, LinkState]" = OrderedDict()
 _LINK_CACHE_MAX_ENTRIES = 8
 _LINK_CACHE_HITS = 0
 _LINK_CACHE_MISSES = 0
@@ -186,32 +149,14 @@ def clear_link_cache() -> None:
     _LINK_CACHE_MISSES = 0
 
 
-def _cached_link_state(
-    channel: Channel, positions: np.ndarray, *, sparse: bool = False
-) -> Optional[object]:
-    """The channel's link state for ``positions``, via the module-level cache.
-
-    ``sparse`` selects the spatially-tiled CSR tier
-    (:meth:`~repro.sim.radio.Channel.link_state_sparse`); dense and sparse
-    entries are cached under distinct keys because they are different objects
-    over the same deployment.  A channel without a sparse implementation
-    falls back to its dense state (still subject to the byte budget guard).
-    """
+def _cached_link_state(channel: Channel, positions: np.ndarray) -> LinkState:
+    """The channel's link state for ``positions``, via the module-level cache."""
     global _LINK_CACHE_HITS, _LINK_CACHE_MISSES
-    signature = channel.link_signature()
-    if signature is None:
-        return None
-    key = (signature, sparse, positions.shape, positions.tobytes())
+    key = (channel.link_signature(), positions.shape, positions.tobytes())
     cached = _LINK_CACHE.get(key)
     if cached is None:
         _LINK_CACHE_MISSES += 1
-        if sparse:
-            try:
-                cached = channel.link_state_sparse(positions)
-            except NotImplementedError:
-                cached = channel.link_state(positions)
-        else:
-            cached = channel.link_state(positions)
+        cached = channel.link_state(positions)
         _LINK_CACHE[key] = cached
         while len(_LINK_CACHE) > _LINK_CACHE_MAX_ENTRIES:
             _LINK_CACHE.popitem(last=False)
@@ -241,13 +186,6 @@ class Simulation:
     trace:
         Optional :class:`~repro.sim.events.EventLog` receiving broadcast and
         delivery events.
-    use_spatial_tiling:
-        Whether to keep the channel link state in the sparse spatially-tiled
-        tier (CSR per-tile structures + region tiling) instead of the dense
-        ``N x N`` matrix.  ``None`` (default) reads the process default
-        (:func:`default_spatial_tiling` — auto-on above
-        :data:`SPATIAL_TILING_AUTO_NODES` nodes).  Results are bit-identical
-        either way; only memory and the round-resolution kernels change.
     use_soa_kernels:
         Whether to compile eligible slots into struct-of-arrays bitmask
         kernels (:mod:`repro.sim.soa`) — the fastest execution tier,
@@ -269,7 +207,6 @@ class Simulation:
         *,
         rng: Optional[np.random.Generator] = None,
         trace: Optional[EventLog] = None,
-        use_spatial_tiling: Optional[bool] = None,
         use_soa_kernels: Optional[bool] = None,
     ) -> None:
         self.nodes = list(nodes)
@@ -285,37 +222,13 @@ class Simulation:
 
         self._positions = np.asarray([n.position for n in self.nodes], dtype=float)
         self.plan = SlotPlan(self.nodes, schedule)
-        # Kept as aliases of the plan's compiled structures (they used to be
-        # built here directly and are handy for debugging/tests).
-        self._interest_map = self.plan.interest_map
-        self._interest_sets = self.plan.interest_sets
-        self._flex_transmitters = list(self.plan.flex_transmitters)
-        if use_spatial_tiling is None:
-            use_spatial_tiling = default_spatial_tiling(len(self.nodes))
-        self.use_spatial_tiling = bool(use_spatial_tiling)
-        self._link_state = _cached_link_state(
-            channel, self._positions, sparse=self.use_spatial_tiling
-        )
-        # Per-round CSR aggregation is used only when the sparse state covers
-        # the channel's full physics (unit-disk) *and* the channel's vectorized
-        # kernels are on; otherwise sparse states answer through exact
-        # on-demand submatrices, which resolve on the unchanged dense kernels.
-        self._sparse_rounds = (
-            isinstance(self._link_state, SparseLinkState)
-            and self._link_state.supports_round_views
-            and channel.supports_sparse_rounds()
-        )
-        self.tiling = (
-            self._link_state.tiling
-            if isinstance(self._link_state, SparseLinkState)
-            else None
-        )
+        self._link_state = _cached_link_state(channel, self._positions)
         # Whole-round memoization is only sound when resolving a round cannot
         # consume RNG (otherwise replaying a cached round would desynchronise
         # the generator relative to the scalar reference execution).
-        self._memo_rounds = self._link_state is not None and not channel.consumes_rng()
-        # The SoA tier compiles whole slots into bitmask kernels.  It needs
-        # a link state to read channel structure from and a channel whose
+        self._memo_rounds = not channel.consumes_rng()
+        # The SoA tier compiles whole slots into bitmask kernels.  It reads
+        # channel structure from the link state and needs a channel whose
         # per-capability verdict (soa_round_support) is fully eligible:
         # disjunction or power-sum busy, with loss draws batchable in
         # listener order (unit-disk capture draws are data-dependent and
@@ -325,11 +238,7 @@ class Simulation:
             use_soa_kernels = default_soa_kernels()
         self.use_soa_kernels = bool(use_soa_kernels)
         self.soa_runtime: Optional[SoaRuntime] = None
-        if (
-            self.use_soa_kernels
-            and self._link_state is not None
-            and channel.supports_soa_rounds()
-        ):
+        if self.use_soa_kernels and channel.supports_soa_rounds():
             runtime = SoaRuntime(
                 self.nodes,
                 self.plan,
@@ -347,10 +256,9 @@ class Simulation:
 
         Returns a dict with these keys:
 
-        * ``"submatrix"`` — the link-state submatrix LRU:
-          ``{"entries", "max_entries", "hits", "misses"}``;
         * ``"round_memo"`` — the whole-round observation memo (RNG-free
-          channel configurations only), same counter shape;
+          channel configurations only): ``{"entries", "max_entries", "hits",
+          "misses"}``;
         * ``"transmissions_interned"`` — size of the transmission intern
           table;
         * ``"soa_kernels"`` — ``{"enabled": False}`` when the
@@ -363,28 +271,17 @@ class Simulation:
           loop because an opportunistic transmitter joined, and the
           busy-pattern memo counters (evictions count entries dropped by
           wholesale overflow clears of a group's memo);
-        * ``"spatial_tiling"`` — ``{"enabled": False}`` on the dense path,
-          otherwise ``{"enabled": True, "tiles", "occupied_tiles",
-          "tile_side", "grid_cols", "grid_rows", "sparse", "sparse_nnz",
-          "index_dtype", "interior_links", "boundary_links",
-          "dense_bytes_avoided", "sparse_round_kernel"}``: the static tiling
-          shape, the CSR size and index dtype and its static
-          interior/boundary link split, the dense bytes the sparse
-          tier avoided materializing, and whether scalar rounds resolve
-          through the CSR round-view kernel.
+        * ``"spatial_tiling"`` — what the CSR link state reports:
+          ``{"tiles", "occupied_tiles", "tile_side", "grid_cols",
+          "grid_rows", "nnz", "index_dtype", "interior_links",
+          "boundary_links"}``: the static tiling shape, the CSR size (self
+          links included) and index dtype, and its static interior/boundary
+          link split.
         """
         info = self.plan.cache_info()
         soa = self.soa_runtime
         info["soa_kernels"] = soa.info() if soa is not None else {"enabled": False}
-        state = self._link_state
-        if isinstance(state, SparseLinkState):
-            info["spatial_tiling"] = {
-                "enabled": True,
-                "sparse_round_kernel": self._sparse_rounds,
-                **state.info(),
-            }
-        else:
-            info["spatial_tiling"] = {"enabled": False}
+        info["spatial_tiling"] = self._link_state.info()
         return info
 
     # -- execution ------------------------------------------------------------------------
@@ -531,7 +428,7 @@ class Simulation:
         listeners: list[int],
         transmissions: list[Transmission],
     ) -> list[Observation]:
-        """Observations for one round, through the plan's caches.
+        """Observations for one round: round memo, then the exact submatrix.
 
         The round memo is consulted only for RNG-free channel configurations;
         its key pins everything observations depend on — the slot occurrence
@@ -539,48 +436,23 @@ class Simulation:
         air.  Stochastic configurations always resolve, consuming the RNG in
         exactly the scalar reference order.
         """
-        link_state = self._link_state
-        if link_state is None:
-            listener_positions = self._positions[listeners]
-            return self.channel.observe(listeners, listener_positions, transmissions, self.rng)
-        plan = self.plan
         senders = tuple(t.sender for t in transmissions)
-        if self._memo_rounds:
+        memo = self.plan.round_memo if self._memo_rounds else None
+        if memo is not None:
             memo_key = (occurrence_key, senders, tuple(t.frame for t in transmissions))
-            memo = plan.round_memo
             observations = memo.get(memo_key)
             if observations is not None:
-                plan.round_memo_hits += 1
+                self.plan.round_memo_hits += 1
                 memo.move_to_end(memo_key)
                 return observations
-            plan.round_memo_misses += 1
-            observations = self._resolve_links(occurrence_key, link_state, listeners, senders, transmissions)
+            self.plan.round_memo_misses += 1
+        submatrix = self._link_state.submatrix(listeners, senders)
+        observations = self.channel.resolve_links(submatrix, transmissions, self.rng)
+        if memo is not None:
             memo[memo_key] = observations
-            while len(memo) > plan.round_memo_max_entries:
+            while len(memo) > self.plan.round_memo_max_entries:
                 memo.popitem(last=False)
-            return observations
-        return self._resolve_links(occurrence_key, link_state, listeners, senders, transmissions)
-
-    def _resolve_links(
-        self,
-        occurrence_key: object,
-        link_state,
-        listeners: list[int],
-        senders: tuple,
-        transmissions: list[Transmission],
-    ) -> list[Observation]:
-        """One round through either the CSR round-view kernel or a submatrix.
-
-        Both paths scatter per-listener results in *listener order* and draw
-        any loss RNG in that same order, so the choice is invisible to the
-        protocols and to the RNG stream.
-        """
-        plan = self.plan
-        if self._sparse_rounds:
-            view = plan.round_view((occurrence_key, senders), link_state, listeners, senders)
-            return self.channel.resolve_links_sparse(view, transmissions, self.rng)
-        submatrix = plan.submatrix((occurrence_key, senders), link_state, listeners, senders)
-        return self.channel.resolve_links(submatrix, transmissions, self.rng)
+        return observations
 
     def _all_honest_delivered(self) -> bool:
         for node in self.nodes:

@@ -1,9 +1,8 @@
 """Compiled per-slot execution plans for the simulation engine.
 
 The engine's hot loop used to re-derive the same facts every slot of every
-cycle: which devices participate, which of them may transmit opportunistically,
-where each participant is located, and which submatrix of the channel's link
-state the round's listeners need.  All of that is static for a given
+cycle: which devices participate, which of them may transmit opportunistically
+and where each participant is located.  All of that is static for a given
 simulation, so :class:`SlotPlan` compiles it once at construction:
 
 * **slot records** — per slot, a frozen tuple of per-participant records
@@ -20,14 +19,6 @@ simulation, so :class:`SlotPlan` compiles it once at construction:
 * **transmission interning** — ``Transmission`` objects keyed by
   ``(sender, frame)``; protocols put a tiny alphabet of frames on the air, so
   the same transmission need not be re-allocated every phase;
-* **submatrix cache** — the ``np.ix_``-style slice of the link state for one
-  ``(slot occurrence, sender set)``, LRU-bounded and introspectable exactly
-  like the engine's link cache.  In steady state the same slot resolves with
-  the same senders every cycle, so the fancy indexing happens once.  With a
-  sparse link state the same LRU holds the per-round CSR
-  :class:`~repro.sim.linkstate.RoundView` aggregations instead (one entry per
-  ``(occurrence, senders)`` either way — the engine uses exactly one of the
-  two representations per simulation);
 * **round memo** — for channels whose resolution consumes no RNG
   (:meth:`~repro.sim.radio.Channel.consumes_rng` is ``False``), whole resolved
   rounds keyed by ``(slot occurrence, senders, frames)``.  Observations are a
@@ -68,10 +59,6 @@ class SlotPlan:
         "slot_records",
         "flex_candidates",
         "participant_arrays",
-        "submatrix_cache",
-        "submatrix_max_entries",
-        "submatrix_hits",
-        "submatrix_misses",
         "round_memo",
         "round_memo_max_entries",
         "round_memo_hits",
@@ -85,7 +72,6 @@ class SlotPlan:
         nodes: Sequence[SimNode],
         schedule: Schedule,
         *,
-        submatrix_max_entries: int = 256,
         round_memo_max_entries: int = 512,
     ) -> None:
         # One pass over the nodes builds everything: the per-node record with
@@ -170,11 +156,6 @@ class SlotPlan:
                 if candidates:
                     self.flex_candidates[slot] = candidates
 
-        self.submatrix_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.submatrix_max_entries = int(submatrix_max_entries)
-        self.submatrix_hits = 0
-        self.submatrix_misses = 0
-
         self.round_memo: "OrderedDict[tuple, list]" = OrderedDict()
         self.round_memo_max_entries = int(round_memo_max_entries)
         self.round_memo_hits = 0
@@ -199,59 +180,10 @@ class SlotPlan:
             cache[key] = tx
         return tx
 
-    def submatrix(self, key: tuple, link_state, listeners, senders) -> np.ndarray:
-        """The listeners-by-senders slice of the link state, via the LRU cache.
-
-        ``link_state`` is either a raw dense matrix (historical form, still
-        used by tests and ad-hoc callers) or any
-        :class:`~repro.sim.linkstate.ChannelLinkState`; sparse states
-        recompute the exact block from positions instead of slicing.
-        """
-        cache = self.submatrix_cache
-        sub = cache.get(key)
-        if sub is None:
-            self.submatrix_misses += 1
-            if hasattr(link_state, "submatrix"):
-                sub = link_state.submatrix(listeners, senders)
-            else:
-                sub = link_state[np.ix_(listeners, senders)]
-            cache[key] = sub
-            while len(cache) > self.submatrix_max_entries:
-                cache.popitem(last=False)
-        else:
-            self.submatrix_hits += 1
-            cache.move_to_end(key)
-        return sub
-
-    def round_view(self, key: tuple, link_state, listeners, senders):
-        """The CSR round aggregation for one ``(occurrence, senders)`` key.
-
-        Shares the submatrix LRU (an engine uses either dense slices or round
-        views, never both).
-        """
-        cache = self.submatrix_cache
-        view = cache.get(key)
-        if view is None:
-            self.submatrix_misses += 1
-            view = link_state.round_view(listeners, senders)
-            cache[key] = view
-            while len(cache) > self.submatrix_max_entries:
-                cache.popitem(last=False)
-        else:
-            self.submatrix_hits += 1
-            cache.move_to_end(key)
-        return view
-
     # -- introspection ----------------------------------------------------------------
     def cache_info(self) -> dict:
         """Snapshot of the plan's per-simulation caches (counters since construction)."""
         return {
-            "submatrix": {
-                "entries": len(self.submatrix_cache),
-                "max_entries": self.submatrix_max_entries,
-                "hits": self.submatrix_hits,
-                "misses": self.submatrix_misses,
-            },
             "round_memo": {
                 "entries": len(self.round_memo),
                 "max_entries": self.round_memo_max_entries,

@@ -17,32 +17,32 @@ Two propagation models are provided, mirroring the paper's two system models:
 Both channels operate on batches: given the listeners and the transmitters of
 one round they return one observation per listener, fully vectorised in NumPy.
 
-Precomputed link state
-----------------------
+Link state
+----------
 For a static deployment the pairwise quantity a channel derives from node
 positions (audibility for the unit-disk model, received power for Friis) never
-changes during a run.  Channels therefore expose :meth:`Channel.link_state`,
-which precomputes that quantity for *all* node pairs once, and
-:meth:`Channel.observe_links`, which resolves a round from that precomputed
-state instead of recomputing distances.  The engine caches the state per
-``(channel, positions)`` pair and hands it back every round, which removes
-the per-round distance computation from the hot path entirely.
+changes during a run.  :meth:`Channel.link_state` therefore builds, once, the
+CSR :class:`~repro.sim.linkstate.LinkState` of the deployment: positions plus
+each node's neighborhood out to the interaction range, whose
+:meth:`~repro.sim.linkstate.LinkState.submatrix` recomputes any round's exact
+``(listeners, senders)`` block.  The engine caches the state per ``(channel,
+positions)`` pair and resolves each scalar round with :meth:`Channel.resolve_links`
+on that block; :meth:`Channel.observe` derives the same block from raw
+positions and is the reference both are tested against.
 """
 
 from __future__ import annotations
 
 import abc
-import math
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.messages import Frame
 from ..core.protocol import ChannelState, Observation, SILENCE
 from ..registry import ChannelPlugin, register_channel
-from .linkstate import FriisLinkState, RoundView, SparseLinkState, UnitDiskLinkState
+from .linkstate import FriisLinkState, LinkState, UnitDiskLinkState
 
 __all__ = [
     "Transmission",
@@ -51,34 +51,7 @@ __all__ = [
     "FriisChannel",
     "SoaRoundSupport",
     "message_observation",
-    "LinkStateMemoryError",
-    "link_state_budget_bytes",
-    "DEFAULT_LINK_STATE_MAX_BYTES",
 ]
-
-#: Default byte budget for one dense link-state matrix (1 GiB).  Above it,
-#: :meth:`Channel.link_state` refuses to allocate and points at the sparse
-#: tier instead of letting a 10^5-node run OOM minutes into construction.
-DEFAULT_LINK_STATE_MAX_BYTES = 1 << 30
-
-
-def link_state_budget_bytes() -> int:
-    """The dense link-state byte budget (``REPRO_LINK_STATE_MAX_BYTES``).
-
-    Values ``<= 0`` disable the guard entirely; unset or unparsable values
-    fall back to :data:`DEFAULT_LINK_STATE_MAX_BYTES`.
-    """
-    raw = os.environ.get("REPRO_LINK_STATE_MAX_BYTES", "").strip()
-    if not raw:
-        return DEFAULT_LINK_STATE_MAX_BYTES
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_LINK_STATE_MAX_BYTES
-
-
-class LinkStateMemoryError(MemoryError):
-    """A dense link-state matrix would exceed the configured byte budget."""
 
 _COLLISION = Observation(ChannelState.COLLISION)
 
@@ -174,115 +147,38 @@ class Channel(abc.ABC):
     ) -> list[Observation]:
         """Observation perceived by every listener given this round's transmissions."""
 
-    def link_signature(self) -> Optional[tuple]:
-        """Hashable key identifying this channel's link-state semantics.
+    @abc.abstractmethod
+    def link_signature(self) -> tuple:
+        """Hashable key of every parameter that determines :meth:`link_state`.
 
-        Channels that support precomputed link state return a tuple of the
-        parameters that determine :meth:`link_state` (used by the engine to
-        cache states across simulations over the same deployment); channels
-        without a precomputable link state return ``None``.
+        The engine caches link states per ``(signature, positions)``, so two
+        channels with equal signatures must build equal states over the same
+        deployment.
         """
-        return None
 
-    def link_state(self, positions: np.ndarray) -> object:
-        """Precomputed pairwise link state for a static deployment.
+    @abc.abstractmethod
+    def link_state(self, positions: np.ndarray) -> LinkState:
+        """The CSR link state of a static deployment.
 
-        ``positions`` is the ``(N, 2)`` array of all node positions; the
-        representation is channel-specific (audibility sets for
-        :class:`UnitDiskChannel`, a received-power matrix for
-        :class:`FriisChannel`) and opaque to the engine, which only passes it
-        back to :meth:`observe_links`.  Only called when
-        :meth:`link_signature` returned a key.
-
-        Implementations must call :meth:`_check_dense_budget` before
-        allocating: a dense matrix over the ``REPRO_LINK_STATE_MAX_BYTES``
-        budget raises :class:`LinkStateMemoryError` naming the sparse/tiled
-        knob instead of OOM-ing mid-run.
+        ``positions`` is the ``(N, 2)`` array of all node positions.  The
+        state's :meth:`~repro.sim.linkstate.LinkState.submatrix` is what
+        :meth:`resolve_links` consumes.
         """
-        raise NotImplementedError
 
-    def _check_dense_budget(self, num_nodes: int, itemsize: int) -> None:
-        """Refuse dense ``N x N`` allocations above the configured byte budget."""
-        budget = link_state_budget_bytes()
-        if budget <= 0:
-            return
-        needed = num_nodes * num_nodes * itemsize
-        if needed > budget:
-            raise LinkStateMemoryError(
-                f"dense link state for {num_nodes} nodes needs "
-                f"{needed:,} bytes ({itemsize} byte(s) per node pair), over the "
-                f"REPRO_LINK_STATE_MAX_BYTES budget of {budget:,}. Enable the "
-                f"sparse spatially-tiled tier instead — pass "
-                f"use_spatial_tiling=True to build_simulation()/Simulation, or "
-                f"set REPRO_SPATIAL_TILING=1 — or raise the budget if you "
-                f"really want the dense matrix."
-            )
-
-    def link_state_sparse(self, positions: np.ndarray) -> SparseLinkState:
-        """Sparse (CSR + region tiling) link state for a static deployment.
-
-        Returns a :class:`~repro.sim.linkstate.SparseLinkState` whose
-        ``submatrix`` is bit-identical to slicing :meth:`link_state` but whose
-        memory is ``O(N * neighborhood)``.  Channels without a sparse tier
-        raise ``NotImplementedError``; the engine then falls back to the
-        dense path (subject to the byte budget).
-        """
-        raise NotImplementedError
-
-    def supports_sparse_rounds(self) -> bool:
-        """Whether :meth:`resolve_links_sparse` can resolve this configuration.
-
-        ``False`` routes sparse-state rounds through exact on-demand
-        :meth:`~repro.sim.linkstate.SparseLinkState.submatrix` blocks and the
-        dense :meth:`resolve_links` kernels instead.
-        """
-        return False
-
-    def resolve_links_sparse(
-        self,
-        view: RoundView,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Resolve one round from a CSR :class:`~repro.sim.linkstate.RoundView`.
-
-        Must produce exactly the observations of :meth:`resolve_links` on the
-        corresponding dense submatrix and consume the RNG identically.
-        """
-        raise NotImplementedError
-
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Resolve one round from the precomputed link state.
-
-        Transmitters are identified by ``Transmission.sender``; callers must
-        guarantee that each transmission originates at the sender's position
-        in the array :meth:`link_state` was built from (the engine does).
-        Must produce exactly the same observations — and consume the RNG in
-        exactly the same order — as :meth:`observe` on the same round.
-        """
-        raise NotImplementedError
-
+    @abc.abstractmethod
     def resolve_links(
         self,
         submatrix: np.ndarray,
         transmissions: Sequence[Transmission],
         rng: np.random.Generator,
     ) -> list[Observation]:
-        """Resolve one round from an already-extracted link-state submatrix.
+        """Resolve one round from its link-state submatrix.
 
-        ``submatrix`` is the ``(listeners, senders)`` slice of
+        ``submatrix`` is the ``(listeners, senders)`` block of
         :meth:`link_state` for this round's listeners and transmitters, in
-        their respective orders.  The engine's slot plans cache these slices
-        per ``(slot, sender-set)`` so the per-round fancy indexing of
-        :meth:`observe_links` disappears from the hot path.
+        their respective orders.  Must produce exactly the observations of
+        :meth:`observe` on the same round and consume the RNG identically.
         """
-        raise NotImplementedError
 
     def consumes_rng(self) -> bool:
         """Whether resolving a round may draw from the generator.
@@ -322,15 +218,6 @@ class Channel(abc.ABC):
     def supports_soa_rounds(self) -> bool:
         """Aggregate verdict of :meth:`soa_round_support` (the engine's gate)."""
         return self.soa_round_support().eligible
-
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        """Whether a single transmission at ``transmitter_position`` is audible.
-
-        Used by the engine to bound which devices could possibly be affected
-        by a transmission; channel subclasses with soft thresholds should be
-        conservative (return ``True`` whenever reception is possible).
-        """
-        raise NotImplementedError
 
 
 class UnitDiskChannel(Channel):
@@ -383,52 +270,16 @@ class UnitDiskChannel(Channel):
             return np.max(np.abs(diff), axis=-1)
         return np.sqrt(np.sum(diff**2, axis=-1))
 
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        lx, ly = float(listener_position[0]), float(listener_position[1])
-        tx, ty = float(transmitter_position[0]), float(transmitter_position[1])
-        if self.norm == "linf":
-            d = max(abs(lx - tx), abs(ly - ty))
-        else:
-            d = math.hypot(lx - tx, ly - ty)
-        return d <= self.radius + 1e-12
-
-    def link_signature(self) -> Optional[tuple]:
+    def link_signature(self) -> tuple:
         return ("unitdisk", self.radius, self.norm)
 
-    def link_state(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean audibility mask between every pair of nodes.
-
-        Rows are computed in blocks so the transient distance matrix stays
-        small for large maps; the stored mask is one byte per pair.
-        """
-        pos = np.asarray(positions, dtype=float)
-        num_nodes = pos.shape[0]
-        self._check_dense_budget(num_nodes, 1)
-        audible = np.empty((num_nodes, num_nodes), dtype=bool)
-        block = 512
-        for start in range(0, num_nodes, block):
-            audible[start : start + block] = (
-                self._distances(pos[start : start + block], pos) <= self.radius + 1e-12
-            )
-        return audible
-
-    def link_state_sparse(self, positions: np.ndarray) -> UnitDiskLinkState:
-        """CSR audibility built per tile; bit-identical to :meth:`link_state`.
+    def link_state(self, positions: np.ndarray) -> UnitDiskLinkState:
+        """CSR audibility out to the radius.
 
         Unit-disk audibility beyond the radius is exactly ``False``, so the
         CSR stores the complete physics — no truncation is involved.
         """
         return UnitDiskLinkState(np.asarray(positions, dtype=float), self.radius, self.norm)
-
-    def supports_sparse_rounds(self) -> bool:
-        """CSR round views cover the deterministic and loss-only kernels.
-
-        Capture configurations need each listener's full audible column set
-        (their RNG draws are data-dependent), so they fall back to exact
-        on-demand submatrices through the scalar reference loop — same
-        dispatch rule as the dense vectorized kernel.
-        """
-        return self.use_vectorized_kernels and self.capture_probability == 0.0
 
     def soa_round_support(self) -> SoaRoundSupport:
         """Unit-disk rounds lower to disjunction kernels; capture stays scalar.
@@ -480,35 +331,6 @@ class UnitDiskChannel(Channel):
             verdicts=verdicts,
         )
 
-    def resolve_links_sparse(
-        self,
-        view: RoundView,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """CSR fast path of :meth:`resolve_links` (dense kernel is the oracle).
-
-        Mirrors the vectorized branch of :meth:`_resolve_audible` statement
-        for statement: SILENCE for zero audible transmissions, one batched
-        loss draw per single-transmission listener in listener order, and the
-        summed column index of a single hit *is* its ``argmax``.
-        """
-        counts = view.counts
-        num_listeners = counts.shape[0]
-        out = np.empty(num_listeners, dtype=object)
-        out[:] = _COLLISION
-        out[counts == 0] = SILENCE
-        singles = np.flatnonzero(counts == 1)
-        if singles.size and self.loss_probability > 0.0:
-            draws = rng.random(singles.size)
-            singles = singles[draws >= self.loss_probability]
-        if singles.size:
-            tx_index = view.tx_sum[singles]
-            for tx in np.unique(tx_index):
-                obs = message_observation(transmissions[int(tx)].frame)
-                out[singles[tx_index == tx]] = obs
-        return list(out)
-
     def consumes_rng(self) -> bool:
         return self.capture_probability > 0.0 or self.loss_probability > 0.0
 
@@ -520,8 +342,8 @@ class UnitDiskChannel(Channel):
     ) -> list[Observation]:
         """Observations from a (listener, transmission) audibility mask.
 
-        Shared by :meth:`observe`, :meth:`observe_links` and
-        :meth:`resolve_links` so all consume the RNG identically.  Dispatches
+        Shared by :meth:`observe` and :meth:`resolve_links` so both consume
+        the RNG identically.  Dispatches
         to a vectorized kernel whenever the configuration's RNG draw sequence
         is listener-ordered (and therefore batchable): the deterministic
         default consumes no RNG at all, and the loss-only configuration draws
@@ -611,22 +433,6 @@ class UnitDiskChannel(Channel):
         audible = dist <= self.radius + 1e-12
         return self._resolve_audible(audible, transmissions, rng)
 
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        if not listener_ids:
-            return []
-        if not transmissions:
-            return [SILENCE] * len(listener_ids)
-        all_audible: np.ndarray = state  # type: ignore[assignment]
-        senders = [t.sender for t in transmissions]
-        audible = all_audible[np.ix_(listener_ids, senders)]
-        return self._resolve_audible(audible, transmissions, rng)
-
     def resolve_links(
         self,
         submatrix: np.ndarray,
@@ -695,42 +501,20 @@ class FriisChannel(Channel):
         """Distance out to which a lone transmission is sensed (but maybe not decoded)."""
         return self.reception_range * self.sense_range_factor
 
-    def hears(self, listener_position: Sequence[float], transmitter_position: Sequence[float]) -> bool:
-        lx, ly = float(listener_position[0]), float(listener_position[1])
-        tx, ty = float(transmitter_position[0]), float(transmitter_position[1])
-        return math.hypot(lx - tx, ly - ty) <= self.sense_range + 1e-12
-
-    def link_signature(self) -> Optional[tuple]:
+    def link_signature(self) -> tuple:
         return (
             "friis",
+            self.sense_range,
             self.path_loss_exponent,
             self.tx_power,
             self.reference_distance,
         )
 
-    def link_state(self, positions: np.ndarray) -> np.ndarray:
-        """Received power between every pair of nodes (row: listener, column: sender)."""
-        pos = np.asarray(positions, dtype=float)
-        num_nodes = pos.shape[0]
-        self._check_dense_budget(num_nodes, 8)
-        powers = np.empty((num_nodes, num_nodes), dtype=float)
-        block = 512
-        for start in range(0, num_nodes, block):
-            diff = pos[start : start + block, None, :] - pos[None, :, :]
-            dist = np.sqrt(np.sum(diff**2, axis=-1))
-            dist = np.maximum(dist, self.reference_distance)
-            powers[start : start + block] = (
-                self.tx_power * (self.reference_distance / dist) ** self.path_loss_exponent
-            )
-        return powers
+    def link_state(self, positions: np.ndarray) -> FriisLinkState:
+        """Positions + sense-range CSR; round powers are recomputed exactly.
 
-    def link_state_sparse(self, positions: np.ndarray) -> FriisLinkState:
-        """Sparse Friis state: positions + sense-range CSR, no power matrix.
-
-        Rounds resolve through exact on-demand submatrices (every sender's
-        power still reaches every listener's interference sum), so the sparse
-        tier changes memory, never physics — see
-        :class:`~repro.sim.linkstate.FriisLinkState`.
+        Every sender's power still reaches every listener's interference
+        sum — see :class:`~repro.sim.linkstate.FriisLinkState`.
         """
         return FriisLinkState(
             np.asarray(positions, dtype=float),
@@ -759,22 +543,6 @@ class FriisChannel(Channel):
         dist = np.sqrt(np.sum(diff**2, axis=-1))
         dist = np.maximum(dist, self.reference_distance)
         powers = self.tx_power * (self.reference_distance / dist) ** self.path_loss_exponent
-        return self._resolve_powers(powers, transmissions, rng)
-
-    def observe_links(
-        self,
-        listener_ids: Sequence[int],
-        state: object,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        if not listener_ids:
-            return []
-        if not transmissions:
-            return [SILENCE] * len(listener_ids)
-        all_powers: np.ndarray = state  # type: ignore[assignment]
-        senders = [t.sender for t in transmissions]
-        powers = all_powers[np.ix_(listener_ids, senders)]
         return self._resolve_powers(powers, transmissions, rng)
 
     def resolve_links(

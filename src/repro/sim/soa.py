@@ -109,41 +109,21 @@ def _mask_indices(mask: int, n: int) -> np.ndarray:
     return np.nonzero(np.unpackbits(raw, count=n, bitorder="little"))[0]
 
 
-def _power_block(link_state, row_ids: np.ndarray, col_ids: np.ndarray):
-    """Exact rows×cols received-power block of the channel's link state.
-
-    Sliced from the dense power matrix or recomputed on demand by the
-    sparse tier's ``submatrix`` (defined to be bit-identical to the dense
-    slice), so the block equals the ``plan.submatrix`` slice the scalar
-    loop would hand ``_resolve_powers`` — same values, same row layout,
-    hence the same pairwise column sums.  ``None`` when the link state
-    exposes no power representation.
-    """
-    if isinstance(link_state, np.ndarray):
-        sub = link_state[np.ix_(row_ids, col_ids)]
-    elif hasattr(link_state, "submatrix"):
-        sub = link_state.submatrix(row_ids, col_ids)
-    elif hasattr(link_state, "matrix"):
-        sub = link_state.matrix[np.ix_(row_ids, col_ids)]
-    else:
-        return None
-    return np.ascontiguousarray(np.asarray(sub, dtype=np.float64))
-
-
 class _PowerColumns:
     """Lazily materialized member×member power block of a power-sum group.
 
-    Eagerly slicing every group's full n×n block at compile time is
-    quadratic in group size across the whole plan — and on the sparse tier
-    each block is *recomputed* from positions, which made the
-    epidemic-friis-1200 macro spend seconds compiling blocks for a
-    sub-second run.  The kernels only ever read transmitter *columns*, and
-    steady-state slots cycle through a handful of transmitter sets, so
-    columns are fetched on first use (batched per miss) and cached per
-    member.  Column ``j`` equals column ``j`` of the eager block float for
-    float, and :meth:`gather` lays the requested columns out ``(n, k)`` in
-    request order exactly like ``block[:, idx]`` — same values in the same
-    reduction order, hence bit-identical row sums.
+    Eagerly building every group's full n×n block at compile time is
+    quadratic in group size across the whole plan — and each block is
+    recomputed from positions, which made the epidemic-friis-1200 macro
+    spend seconds compiling blocks for a sub-second run.  The kernels only
+    ever read transmitter *columns*, and steady-state slots cycle through a
+    handful of transmitter sets, so columns are fetched on first use
+    (batched per miss) and cached per member.  Column ``j`` equals column
+    ``j`` of the link state's exact ``submatrix`` (the block the scalar loop
+    hands ``_resolve_powers``) float for float, and :meth:`gather` lays the
+    requested columns out ``(n, k)`` in request order exactly like
+    ``block[:, idx]`` — same values in the same reduction order, hence
+    bit-identical row sums.
     """
 
     __slots__ = ("member_ids", "link_state", "cols")
@@ -158,10 +138,8 @@ class _PowerColumns:
         cols = self.cols
         missing = [int(j) for j in idx if int(j) not in cols]
         if missing:
-            block = _power_block(
-                self.link_state,
-                self.member_ids,
-                self.member_ids[np.asarray(missing, dtype=np.intp)],
+            block = self.link_state.submatrix(
+                self.member_ids, self.member_ids[np.asarray(missing, dtype=np.intp)]
             )
             for pos, j in enumerate(missing):
                 cols[j] = np.ascontiguousarray(block[:, pos])
@@ -554,6 +532,34 @@ def _run_epidemic_slot(sim, group: _SlotGroup) -> None:
                     trace.record(EventKind.DELIVERY, end_round, node.node_id)
 
 
+def _group_adjacency(link_state, member_ids: np.ndarray, local_of: np.ndarray) -> tuple:
+    """Group-local hearers-of-sender CSR, filtered from the global CSR.
+
+    ``indices[indptr[j]:indptr[j+1]]`` lists, ascending, the local indices
+    that hear local member ``j``: the intersection of ``j``'s global CSR
+    neighborhood with the member set (unit-disk audibility is symmetric, so
+    rows and columns agree).  One O(nnz) pass gathers the members' global
+    rows, maps ids through ``local_of`` (a node-id-indexed array holding -1,
+    returned that way) and keeps the hits.  Member ids and global rows are
+    both ascending, so the local rows come out ascending — the kernels'
+    decode/draw iteration then matches the scalar loop's listener order.
+    """
+    n = member_ids.size
+    starts = link_state.indptr[member_ids].astype(np.int64)
+    lengths = link_state.indptr[member_ids + 1] - starts
+    # Flat positions of the members' rows inside the global indices.
+    row_ends = np.cumsum(lengths)
+    flat = np.arange(row_ends[-1]) + np.repeat(starts - row_ends + lengths, lengths)
+    local_of[member_ids] = np.arange(n)
+    local = local_of[link_state.indices[flat]]
+    local_of[member_ids] = -1
+    hit = local >= 0
+    counts = np.bincount(np.repeat(np.arange(n), lengths)[hit], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, local[hit]
+
+
 #: Protocol family -> (kernel, required rounds per slot).  NeighborWatchRB
 #: and MultiPathRB share the stream kernel: both drive 1Hop/2Bit exchanges
 #: and differ only in the post-accept callback their ``soa_state_spec``
@@ -577,9 +583,9 @@ class SoaRuntime:
     from this tier and the engine discards the runtime.
 
     The channel's :meth:`~repro.sim.radio.Channel.soa_round_support`
-    verdict picks the busy model — ``"disjunction"`` compiles a group-local
-    CSR adjacency, ``"power-sum"`` a lazy member×member power-column
-    cache (:class:`_PowerColumns`) — and
+    verdict picks the busy model — ``"disjunction"`` filters a group-local
+    CSR adjacency out of the link state's global CSR, ``"power-sum"`` builds
+    a lazy member×member power-column cache (:class:`_PowerColumns`) — and
     carries the loss probability; ``rng`` is the simulation generator the
     loss draws are burned from (required whenever loss is configured).
     """
@@ -618,6 +624,9 @@ class SoaRuntime:
         #: kernel (conservative: set only by compiled adoptions).
         max_id = max((node.node_id for node in nodes), default=0)
         self.adopted_flags = np.zeros(max_id + 1, dtype=bool)
+        #: Scratch map for _group_adjacency: all -1 between slots (allocated
+        #: once per runtime, reset after each slot).
+        self._local_of = np.full(max_id + 1, -1, dtype=np.int64)
         self.member_slots = 0
         self.slots_run = 0
         self.scalar_fallbacks = 0
@@ -708,19 +717,11 @@ class SoaRuntime:
         if n > 1 and np.any(np.diff(member_ids) <= 0):
             return None
         if self.busy_mode == "power-sum":
-            if not (
-                isinstance(link_state, np.ndarray)
-                or hasattr(link_state, "submatrix")
-                or hasattr(link_state, "matrix")
-            ):
-                return None
             power = _PowerColumns(member_ids, link_state)
             adjacency = (None, None)
         else:
             power = None
-            adjacency = self._group_adjacency(member_ids, link_state)
-            if adjacency is None:
-                return None
+            adjacency = _group_adjacency(link_state, member_ids, self._local_of)
 
         group = _SlotGroup()
         group.slot = slot
@@ -739,52 +740,6 @@ class SoaRuntime:
         group.owners = tuple(owners)
         group.receivers = tuple(receivers)
         return group
-
-    @staticmethod
-    def _group_adjacency(member_ids: np.ndarray, link_state):
-        """Group-local hearers-of-sender CSR from the channel's link state.
-
-        ``indices[indptr[j]:indptr[j+1]]`` lists, ascending, the local
-        indices that hear local member ``j`` — column ``j`` of the members'
-        audibility submatrix on the dense tier, the intersection of ``j``'s
-        global CSR neighborhood with the member set on the sparse tier
-        (unit-disk audibility is symmetric, so rows and columns agree).
-        Rows are kept sorted so the kernels' decode/draw iteration matches
-        the scalar loop's ascending listener order.
-        """
-        n = member_ids.size
-        matrix = None
-        if isinstance(link_state, np.ndarray):
-            matrix = link_state
-        elif hasattr(link_state, "matrix"):
-            matrix = link_state.matrix
-        if matrix is not None:
-            sub = np.asarray(matrix[np.ix_(member_ids, member_ids)], dtype=bool)
-            # Row-major nonzero over the transpose comes out sender-sorted
-            # with hearers ascending within each sender — the CSR layout,
-            # with no argsort/reindex pass.
-            senders, hearers = np.nonzero(sub.T)
-            indices = hearers
-            counts = np.bincount(senders, minlength=n)
-        elif hasattr(link_state, "indptr"):
-            global_indptr = link_state.indptr
-            global_indices = link_state.indices
-            per_member = []
-            counts = np.zeros(n, dtype=np.int64)
-            for j, gid in enumerate(member_ids):
-                nbrs = np.asarray(global_indices[global_indptr[gid] : global_indptr[gid + 1]])
-                pos = np.minimum(np.searchsorted(member_ids, nbrs), n - 1)
-                local = np.sort(pos[member_ids[pos] == nbrs])
-                per_member.append(local)
-                counts[j] = local.size
-            indices = (
-                np.concatenate(per_member) if per_member else np.zeros(0, dtype=np.int64)
-            )
-        else:
-            return None
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, np.asarray(indices, dtype=np.int64)
 
     # -- execution -------------------------------------------------------------------
     def run_slot(self, sim, group: _SlotGroup) -> None:

@@ -1,14 +1,12 @@
-"""Spatial region tiling of a deployment for the sparse engine core.
+"""Spatial region tiling of a deployment for the CSR link state.
 
-The sparse link-state tier (:mod:`repro.sim.linkstate`) decomposes a
-deployment into axis-aligned square tiles — a :class:`~repro.core.regions.SquareGrid`
-whose side is the channel's interaction radius, mirroring the paper's own
-square decomposition for NeighborWatchRB.  Because the tile side is at least
-the interaction radius, a transmission can only ever be audible inside the
+The link state (:mod:`repro.sim.linkstate`) decomposes a deployment into
+axis-aligned square tiles — a :class:`~repro.core.regions.SquareGrid` whose
+side is the channel's interaction radius, mirroring the paper's own square
+decomposition for NeighborWatchRB.  Because the tile side is at least the
+interaction radius, a transmission can only ever be audible inside the
 sender's own tile and the eight adjacent tiles; every audible link therefore
-either stays *interior* to one tile or crosses exactly one tile boundary, and
-the per-round CSR kernels only need to "exchange" the boundary-crossing
-transmissions between tiles.
+either stays *interior* to one tile or crosses exactly one tile boundary.
 
 :class:`RegionTiling` owns the per-node tile assignment and the static
 interior/boundary classification of the CSR link structure.
@@ -33,7 +31,7 @@ class RegionTiling:
     side:
         Tile side; must be at least the channel's interaction radius for the
         adjacency guarantee above to hold (the caller — the channel building
-        its sparse link state — picks it that way).
+        its link state — picks it that way).
     """
 
     __slots__ = ("grid", "side", "tile_of", "num_tiles", "occupied_tiles")
@@ -58,8 +56,8 @@ class RegionTiling:
         """Static ``(interior, boundary)`` link counts of a CSR neighbor structure.
 
         A link is *interior* when both endpoints share a tile and *boundary*
-        when they do not; self-links (the CSR diagonal, kept for parity with
-        the dense audibility mask) are excluded from both counts.
+        when they do not; self-links (the CSR diagonal) are excluded from
+        both counts.
         """
         n = indptr.size - 1
         src = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))

@@ -7,7 +7,9 @@ import pytest
 
 from repro.sim.config import ScenarioConfig
 from repro.sim.engine import clear_link_cache
+from repro.sim.radio import FriisChannel
 from repro.topology.deployment import Deployment, grid_jittered_deployment, uniform_deployment
+from repro.topology.geometry import pairwise_distances
 
 
 @pytest.fixture(autouse=True)
@@ -21,6 +23,56 @@ def _isolated_link_cache():
     """
     clear_link_cache()
     yield
+
+
+class BruteForceLinkState:
+    """Reference link state read off the full pairwise distance matrix.
+
+    The CSR rows come from the brute-force ``pairwise_distances(...) <=
+    range + 1e-12`` predicate, and every block is sliced from the full
+    ``N x N`` audibility or power matrix, computed with the same elementwise
+    expressions as the channel's ``observe``.  Quadratic by design: it is the
+    oracle the engine's tile-built CSR state is checked against.
+    """
+
+    def __init__(self, channel, positions: np.ndarray) -> None:
+        if isinstance(channel, FriisChannel):
+            dist = pairwise_distances(positions, norm="l2")
+            within = dist <= channel.sense_range + 1e-12
+            dist = np.maximum(dist, channel.reference_distance)
+            self.matrix = (
+                channel.tx_power
+                * (channel.reference_distance / dist) ** channel.path_loss_exponent
+            )
+        else:
+            dist = pairwise_distances(positions, norm=channel.norm)
+            self.matrix = within = dist <= channel.radius + 1e-12
+        rows, self.indices = np.nonzero(within)
+        self.indptr = np.zeros(len(positions) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(positions)), out=self.indptr[1:])
+
+    def submatrix(self, listeners, senders) -> np.ndarray:
+        return self.matrix[np.ix_(listeners, senders)]
+
+    def info(self) -> dict:
+        return {"nnz": int(self.indices.size)}
+
+
+@pytest.fixture
+def use_brute_force_links(monkeypatch):
+    """Call the returned function to build later simulations on the oracle state."""
+    import repro.sim.engine as engine
+
+    def install() -> None:
+        monkeypatch.setattr(engine, "_cached_link_state", BruteForceLinkState)
+
+    return install
+
+
+@pytest.fixture
+def brute_force_link_state():
+    """The :class:`BruteForceLinkState` class, for tests that build one directly."""
+    return BruteForceLinkState
 
 
 @pytest.fixture

@@ -460,7 +460,7 @@ class TestSlotPlan:
         info = sim.plan_cache_info()
         assert info["round_memo"]["misses"] >= 1
         assert info["round_memo"]["hits"] >= 1
-        assert info["submatrix"]["entries"] >= 1
+        assert info["round_memo"]["entries"] >= 1
 
     def test_round_memo_disabled_for_stochastic_channel(self):
         positions = np.asarray([(0.0, 0.0), (1.0, 0.0)])
@@ -487,21 +487,25 @@ class TestSlotPlan:
         sim.run_slots(4 * schedule.num_slots)
         info = sim.plan_cache_info()
         assert info["round_memo"]["hits"] == 0 and info["round_memo"]["misses"] == 0
-        # The submatrix cache still works: it never interacts with the RNG.
-        assert info["submatrix"]["hits"] >= 1
 
-    def test_submatrix_cache_is_bounded(self):
-        from repro.sim.plan import SlotPlan
+    def test_round_memo_is_bounded(self):
+        positions = [(0, 0), (1, 0), (0.5, 0.5), (1.5, 0.5)]
 
-        positions = [(0, 0), (1, 0)]
-        sim, _ = make_sim(positions, [Beacon(0), Listener(0)])
-        plan = SlotPlan(sim.nodes, sim.schedule, submatrix_max_entries=2)
-        state = np.ones((2, 2), dtype=bool)
-        for k in range(5):
-            plan.submatrix((k,), state, [0], [1])
-        info = plan.cache_info()
-        assert info["submatrix"]["entries"] <= 2
-        assert info["submatrix"]["misses"] == 5
+        class ChattyBeacon(Beacon):
+            def act(self, slot_cycle, slot, phase):
+                if slot == self._slot:
+                    return Frame(FrameKind.PAYLOAD, self.context.node_id, self._payload)
+                return None
+
+        protocols = [ChattyBeacon(0), Listener(0), ChattyBeacon(1), Listener(1)]
+        sim, sched = make_sim(positions, protocols)
+        sim.plan.round_memo_max_entries = 1
+        sim.run_slots(4 * sched.num_slots)
+        info = sim.plan_cache_info()["round_memo"]
+        # Two slot occurrences alternate through a one-entry memo: each
+        # lookup evicts the other's entry, so nothing is ever replayed.
+        assert info["entries"] == 1
+        assert info["misses"] == 8 and info["hits"] == 0
 
     def test_transmissions_interned_across_slots(self):
         positions = [(0, 0), (1, 0)]
@@ -528,30 +532,26 @@ class TestPlanCacheInfoShape:
         "busy_cache_evictions",
     }
     TILING_KEYS = {
-        "enabled", "tiles", "occupied_tiles", "tile_side", "grid_cols", "grid_rows",
-        "sparse", "sparse_nnz", "index_dtype", "interior_links", "boundary_links",
-        "dense_bytes_avoided", "sparse_round_kernel",
+        "tiles", "occupied_tiles", "tile_side", "grid_cols", "grid_rows",
+        "nnz", "index_dtype", "interior_links", "boundary_links",
     }
 
-    @pytest.mark.parametrize("soa,tiled", [(True, False), (False, True)], ids=["soa-dense", "scalar-tiled"])
-    def test_sections_match_the_documented_shape(self, uniform_small_deployment, soa, tiled):
+    @pytest.mark.parametrize("soa", [True, False], ids=["soa", "scalar"])
+    def test_sections_match_the_documented_shape(self, uniform_small_deployment, soa):
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
 
         clear_link_cache()
         config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=3)
-        sim = build_simulation(
-            uniform_small_deployment, config, use_soa_kernels=soa, use_spatial_tiling=tiled
-        )
+        sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=soa)
         sim.run(300)
         info = sim.plan_cache_info()
         assert set(info) == {
-            "submatrix", "round_memo", "transmissions_interned", "soa_kernels", "spatial_tiling",
+            "round_memo", "transmissions_interned", "soa_kernels", "spatial_tiling",
         }
-        assert set(info["submatrix"]) == self.COUNTERS
         assert set(info["round_memo"]) == self.COUNTERS
         assert set(info["soa_kernels"]) == (self.SOA_KEYS if soa else {"enabled"})
-        assert set(info["spatial_tiling"]) == (self.TILING_KEYS if tiled else {"enabled"})
+        assert set(info["spatial_tiling"]) == self.TILING_KEYS
 
 
 class TestPackageExports:

@@ -11,9 +11,10 @@ These tests pin that contract:
   channel implementations side by side (same seed) and compare observation
   lists and the next RNG draw;
 * end-to-end tests run whole scenarios with the vectorized kernels forced
-  off — and, separately, with the SoA tier or spatial tiling toggled — and
-  compare the full result records and the channel-RNG position (randomized
-  SoA-vs-scalar properties live in ``tests/test_soa_kernels.py``);
+  off — and, separately, with the SoA tier toggled or the CSR link state
+  swapped for a brute-force pairwise one — and compare the full result
+  records and the channel-RNG position (randomized SoA-vs-scalar properties
+  live in ``tests/test_soa_kernels.py``);
 * golden records pin unit-disk capture, the input only the scalar loop runs;
 * a warm-store regression runs one experiment cold then warm through a
   ``ResultStore`` (the ``REPRO_BENCH_CACHE_DIR`` path of the benchmark
@@ -121,16 +122,16 @@ class TestFriisKernelEquivalence:
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1))
-    def test_observe_links_matches_observe(self, data, positions, seed):
-        """The precomputed-link-state path stays equivalent too."""
+    def test_link_state_round_matches_observe(self, data, positions, seed):
+        """The scalar loop's link-state path stays equivalent too."""
         listener_ids, transmissions = _split_roles(positions, data)
         pos = np.asarray(positions, dtype=float) / 2.0
         chan = FriisChannel(2.0, loss_probability=0.25)
-        state = chan.link_state(pos)
+        block = chan.link_state(pos).submatrix(listener_ids, [t.sender for t in transmissions])
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
         direct = chan.observe(listener_ids, pos[listener_ids], transmissions, rng_a)
-        via_links = chan.observe_links(listener_ids, state, transmissions, rng_b)
+        via_links = chan.resolve_links(block, transmissions, rng_b)
         assert direct == via_links
         assert rng_a.random() == rng_b.random()
 
@@ -343,14 +344,15 @@ class TestWarmStoreByteIdentity:
         assert export(warm_rows) == export(cold_rows)
 
 
-class TestSpatialTilingEquivalence:
-    """Tiled-vs-dense link state must not move a bit either.
+class TestBruteForceLinkStateEquivalence:
+    """The tile-built CSR link state must not move a bit against the
+    brute-force pairwise oracle (``BruteForceLinkState`` in conftest).
 
     Same discipline as the kernel layer: full-record identity
     across protocols, channels and loss/capture settings, plus the explicit
-    channel-RNG stream-position check.  The 600- and 1200-node cases are the
-    PR's stated scale pins — uniform deployments at the benchmark macros'
-    density, run tiled and untiled back to back.
+    channel-RNG stream-position check.  The 600- and 1200-node cases are
+    scale pins — uniform deployments at the benchmark macros' density, run
+    on both states back to back.
     """
 
     @pytest.mark.parametrize(
@@ -367,7 +369,7 @@ class TestSpatialTilingEquivalence:
         ],
     )
     def test_full_run_identical_and_rng_position_matches(
-        self, uniform_small_deployment, protocol, channel, loss, capture
+        self, uniform_small_deployment, use_brute_force_links, protocol, channel, loss, capture
     ):
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
@@ -383,11 +385,13 @@ class TestSpatialTilingEquivalence:
         config = ScenarioConfig(**kwargs)
 
         results = {}
-        for tiled in (False, True):
+        for reference in (False, True):
             clear_link_cache()
-            sim = build_simulation(uniform_small_deployment, config, use_spatial_tiling=tiled)
+            if reference:
+                use_brute_force_links()
+            sim = build_simulation(uniform_small_deployment, config)
             record = sim.run(4000).to_record()
-            results[tiled] = (record, sim.rng.random())
+            results[reference] = (record, sim.rng.random())
         assert results[True][0] == results[False][0]
         assert results[True][1] == results[False][1]
 
@@ -395,8 +399,8 @@ class TestSpatialTilingEquivalence:
         "protocol,num_nodes",
         [("neighborwatch", 600), ("epidemic", 1200)],
     )
-    def test_scale_pins_600_and_1200_nodes(self, protocol, num_nodes):
-        """The acceptance-scale runs: tiled byte-identity at 600/1200 nodes.
+    def test_scale_pins_600_and_1200_nodes(self, use_brute_force_links, protocol, num_nodes):
+        """The acceptance-scale runs: byte-identity at 600/1200 nodes.
 
         Serialized-record equality covers the exported rows and the bytes a
         ResultStore would persist; the RNG draw pins the stream position.
@@ -411,23 +415,18 @@ class TestSpatialTilingEquivalence:
             protocol=protocol, radius=4.0, message_length=4, seed=5
         )
         serialized = {}
-        for tiled in (False, True):
+        for reference in (False, True):
             clear_link_cache()
-            # Pinned to the scalar tier: only its rounds resolve through the
-            # link state (and, tiled, its CSR round views); the SoA slot
-            # kernels bypass both.
-            sim = build_simulation(
-                deployment, config, use_spatial_tiling=tiled, use_soa_kernels=False
-            )
+            if reference:
+                use_brute_force_links()
+            # Pinned to the scalar tier, whose every round resolves through
+            # the link state's submatrix (the SoA kernels read it once, at
+            # compile time).
+            sim = build_simulation(deployment, config, use_soa_kernels=False)
             result = sim.run(20000)
-            serialized[tiled] = (
+            serialized[reference] = (
                 json.dumps(result.to_record(), sort_keys=True, default=str),
                 sim.rng.random(),
             )
-            info = sim.plan_cache_info()["spatial_tiling"]
-            assert info["enabled"] is tiled
-            if tiled:
-                assert info["sparse_nnz"] < num_nodes * num_nodes
-                assert info["sparse_round_kernel"]
-                assert sim.plan_cache_info()["submatrix"]["misses"] > 0
+            assert sim.plan_cache_info()["spatial_tiling"]["nnz"] < num_nodes * num_nodes
         assert serialized[True] == serialized[False]

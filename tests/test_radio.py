@@ -76,10 +76,12 @@ class TestUnitDiskChannel:
         chan = UnitDiskChannel(2.0)
         assert chan.observe([], np.empty((0, 2)), [tx(1, 0, 0)], rng) == []
 
-    def test_hears(self):
+    def test_radius_is_inclusive(self, rng):
         chan = UnitDiskChannel(2.0)
-        assert chan.hears((0, 0), (2, 0))
-        assert not chan.hears((0, 0), (2.5, 0))
+        at_range = chan.observe([0], np.array([[0.0, 0.0]]), [tx(5, 2.0, 0.0)], rng)
+        beyond = chan.observe([0], np.array([[0.0, 0.0]]), [tx(5, 2.5, 0.0)], rng)
+        assert at_range[0].state is ChannelState.MESSAGE
+        assert beyond[0].state is ChannelState.SILENT
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +129,12 @@ class TestFriisChannel:
     def test_sense_range_property(self):
         chan = FriisChannel(reception_range=4.0, sense_range_factor=1.5)
         assert chan.sense_range == pytest.approx(6.0)
-        assert chan.hears((0, 0), (5.9, 0))
-        assert not chan.hears((0, 0), (6.2, 0))
+        # Beyond the reception range but inside the sense range: busy, not decoded.
+        origin = np.array([[0.0, 0.0]])
+        sensed = chan.observe([0], origin, [tx(1, 5.9, 0.0)], np.random.default_rng(0))
+        unheard = chan.observe([0], origin, [tx(1, 6.2, 0.0)], np.random.default_rng(0))
+        assert sensed[0].state is ChannelState.COLLISION
+        assert unheard[0].state is ChannelState.SILENT
 
     def test_loss_probability(self, rng):
         chan = FriisChannel(reception_range=4.0, loss_probability=1.0)
@@ -159,137 +165,3 @@ class TestFriisChannel:
         chan = FriisChannel(reception_range=4.0)
         assert chan._power_at(4.0) == pytest.approx(chan.reception_threshold)
         assert chan._power_at(4.5) < chan.reception_threshold
-
-
-class TestLinkStateEquivalence:
-    """observe_links over a precomputed link state must reproduce observe()
-    exactly — same observations, same RNG consumption — for every channel."""
-
-    @staticmethod
-    def _random_round(rng, num_nodes=40, num_tx=3):
-        positions = rng.uniform(0, 10, size=(num_nodes, 2))
-        tx_ids = list(rng.choice(num_nodes, size=num_tx, replace=False))
-        listener_ids = [i for i in range(num_nodes) if i not in tx_ids]
-        transmissions = [
-            Transmission(int(t), (float(positions[t, 0]), float(positions[t, 1])),
-                         Frame(FrameKind.DATA_BIT, int(t)))
-            for t in tx_ids
-        ]
-        return positions, listener_ids, transmissions
-
-    @pytest.mark.parametrize(
-        "channel_factory",
-        [
-            lambda: UnitDiskChannel(3.0),
-            lambda: UnitDiskChannel(3.0, norm="linf"),
-            lambda: UnitDiskChannel(3.0, capture_probability=0.5, loss_probability=0.3),
-            lambda: FriisChannel(reception_range=3.0, loss_probability=0.3),
-        ],
-    )
-    def test_observe_links_matches_observe(self, channel_factory):
-        setup_rng = np.random.default_rng(7)
-        chan = channel_factory()
-        for trial in range(5):
-            positions, listener_ids, transmissions = self._random_round(setup_rng)
-            state = chan.link_state(positions)
-            direct = chan.observe(
-                listener_ids, positions[listener_ids], transmissions, np.random.default_rng(trial)
-            )
-            via_links = chan.observe_links(
-                listener_ids, state, transmissions, np.random.default_rng(trial)
-            )
-            assert direct == via_links
-
-    def test_link_signature_distinguishes_parameters(self):
-        assert UnitDiskChannel(3.0).link_signature() != UnitDiskChannel(4.0).link_signature()
-        assert UnitDiskChannel(3.0).link_signature() != UnitDiskChannel(3.0, norm="linf").link_signature()
-        assert FriisChannel(3.0).link_signature() is not None
-
-    def test_link_state_blocked_construction_matches_direct(self):
-        # Exercise the block boundary: more nodes than one 512-row block.
-        rng = np.random.default_rng(3)
-        positions = rng.uniform(0, 40, size=(600, 2))
-        chan = UnitDiskChannel(3.0)
-        state = chan.link_state(positions)
-        expected = chan._distances(positions, positions) <= 3.0 + 1e-12
-        assert np.array_equal(state, expected)
-
-
-class TestLinkStateMemoryBudget:
-    """The dense link-state byte budget must refuse quadratic allocations with
-    a message that names the sparse/tiled escape hatch."""
-
-    def test_budget_exceeded_names_the_tiling_knob(self, monkeypatch):
-        from repro.sim.radio import LinkStateMemoryError
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "1024")
-        chan = UnitDiskChannel(2.0)
-        positions = np.zeros((64, 2))  # 64*64 = 4096 bytes > 1024
-        with pytest.raises(LinkStateMemoryError) as excinfo:
-            chan.link_state(positions)
-        message = str(excinfo.value)
-        assert "use_spatial_tiling" in message
-        assert "REPRO_SPATIAL_TILING" in message
-        assert "REPRO_LINK_STATE_MAX_BYTES" in message
-
-    def test_friis_budget_counts_eight_bytes_per_pair(self, monkeypatch):
-        from repro.sim.radio import LinkStateMemoryError
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "10000")
-        positions = np.random.default_rng(0).uniform(0, 5, size=(40, 2))
-        # 40*40*1 = 1600 bytes fits for unitdisk ...
-        assert UnitDiskChannel(2.0).link_state(positions) is not None
-        # ... but 40*40*8 = 12800 bytes does not for friis.
-        with pytest.raises(LinkStateMemoryError):
-            FriisChannel(2.0).link_state(positions)
-
-    def test_budget_disabled_with_nonpositive_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "0")
-        assert UnitDiskChannel(2.0).link_state(np.zeros((64, 2))) is not None
-
-    def test_sparse_tier_is_not_budgeted(self, monkeypatch):
-        from repro.sim.linkstate import UnitDiskLinkState
-
-        monkeypatch.setenv("REPRO_LINK_STATE_MAX_BYTES", "1024")
-        positions = np.random.default_rng(1).uniform(0, 20, size=(64, 2))
-        state = UnitDiskChannel(2.0).link_state_sparse(positions)
-        assert isinstance(state, UnitDiskLinkState)
-        assert state.nnz < 64 * 64
-
-
-class TestSparseLinkState:
-    """Sparse link states must recompute exact dense blocks from positions."""
-
-    @pytest.mark.parametrize("norm", ["l2", "linf"])
-    def test_unitdisk_submatrix_bitwise_equal(self, norm):
-        rng = np.random.default_rng(11)
-        positions = rng.uniform(0, 15, size=(120, 2))
-        chan = UnitDiskChannel(3.0, norm=norm)
-        dense = chan.link_state(positions)
-        sparse = chan.link_state_sparse(positions)
-        listeners = list(range(0, 120, 3))
-        senders = list(range(1, 120, 7))
-        assert np.array_equal(
-            sparse.submatrix(listeners, senders), dense[np.ix_(listeners, senders)]
-        )
-
-    def test_friis_submatrix_bitwise_equal(self):
-        rng = np.random.default_rng(12)
-        positions = rng.uniform(0, 15, size=(90, 2))
-        chan = FriisChannel(reception_range=3.0)
-        dense = chan.link_state(positions)
-        sparse = chan.link_state_sparse(positions)
-        listeners = list(range(0, 90, 2))
-        senders = list(range(1, 90, 5))
-        assert np.array_equal(
-            sparse.submatrix(listeners, senders), dense[np.ix_(listeners, senders)]
-        )
-
-    def test_supports_sparse_rounds_classification(self):
-        assert UnitDiskChannel(3.0).supports_sparse_rounds()
-        assert UnitDiskChannel(3.0, loss_probability=0.2).supports_sparse_rounds()
-        assert not UnitDiskChannel(3.0, capture_probability=0.5).supports_sparse_rounds()
-        vec_off = UnitDiskChannel(3.0)
-        vec_off.use_vectorized_kernels = False
-        assert not vec_off.supports_sparse_rounds()
-        assert not FriisChannel(3.0).supports_sparse_rounds()

@@ -262,63 +262,67 @@ class TestNeighborSlotTable:
         assert 999 not in sched.neighbor_slots_of_node(1)
 
 
+def _reference_colouring(positions, separation, source, norm="l2"):
+    """The original per-neighbor greedy colouring over a dense conflict matrix."""
+    conflict = pairwise_distances(positions, norm=norm) <= separation
+    np.fill_diagonal(conflict, False)
+    reference = np.zeros(len(positions), dtype=int)
+    for node in range(len(positions)):
+        if node == source:
+            continue
+        used = {0}
+        for nb in np.nonzero(conflict[node])[0]:
+            if nb < node or nb == source:
+                used.add(int(reference[nb]))
+        slot = 1
+        while slot in used:
+            slot += 1
+        reference[node] = slot
+    return reference.tolist()
+
+
+def _reference_neighbor_slots(positions, slots, radius, norm="l2"):
+    """Brute-force neighbor-slot table: slots within ``radius``, plus the source slot."""
+    within = pairwise_distances(positions, norm=norm) <= radius
+    return [sorted({SOURCE_SLOT, *(slots[j] for j in np.nonzero(row)[0])}) for row in within]
+
+
 class TestGreedyColouringReference:
-    """The vectorised colouring loop must assign exactly the slots the
-    original per-neighbor Python loop did."""
+    """The grid-bucketed colouring loop must assign exactly the slots the
+    original per-neighbor Python loop over a dense matrix did."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=2, max_value=50), st.integers(min_value=0, max_value=500))
     def test_matches_reference_implementation(self, n, seed):
         dep = uniform_deployment(n, 8, 8, rng=seed)
         sched = NodeSchedule(dep.positions, 2.0, dep.source_index, separation=4.0)
-        dist = pairwise_distances(sched.positions, norm="l2")
-        conflict = dist <= sched.separation
-        np.fill_diagonal(conflict, False)
-        reference = np.zeros(n, dtype=int)
-        for node in range(n):
-            if node == sched.source_index:
-                reference[node] = 0
-                continue
-            used = {0}
-            for nb in np.nonzero(conflict[node])[0]:
-                if nb < node or nb == sched.source_index:
-                    used.add(int(reference[nb]))
-            slot = 1
-            while slot in used:
-                slot += 1
-            reference[node] = slot
-        assert [sched.slot_of_node(i) for i in range(n)] == reference.tolist()
-
-
-class TestBucketedNodeSchedule:
-    """Above BUCKETED_SCHEDULE_MIN_NODES the conflict and listening
-    neighborhoods come from grid-bucketed queries; the slot assignment and the
-    neighbor-slot tables must equal the dense-matrix oracle exactly."""
+        reference = _reference_colouring(sched.positions, sched.separation, sched.source_index)
+        assert [sched.slot_of_node(i) for i in range(n)] == reference
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
-    def test_matches_dense_oracle(self, norm, monkeypatch):
-        import repro.core.schedule as schedule_module
-
+    def test_matches_brute_force_at_scale(self, norm):
         dep = uniform_deployment(400, 25, 25, rng=17)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 10**9)
-        dense = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
-        dense_table = [dense.neighbor_slots_of_node(i) for i in range(400)]
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 1)
-        bucketed = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
-        bucketed_table = [bucketed.neighbor_slots_of_node(i) for i in range(400)]
-        assert [bucketed.slot_of_node(i) for i in range(400)] == [
-            dense.slot_of_node(i) for i in range(400)
-        ]
-        assert bucketed_table == dense_table
-        assert bucketed.num_slots == dense.num_slots
+        sched = NodeSchedule(dep.positions, 2.0, dep.source_index, norm=norm)
+        slots = [sched.slot_of_node(i) for i in range(400)]
+        assert slots == _reference_colouring(
+            sched.positions, sched.separation, sched.source_index, norm
+        )
+        assert [sched.neighbor_slots_of_node(i) for i in range(400)] == (
+            _reference_neighbor_slots(sched.positions, slots, 2.0, norm)
+        )
+        assert sched.num_slots == max(slots) + 1
 
-    def test_listen_radius_override_matches(self, monkeypatch):
-        import repro.core.schedule as schedule_module
-
+    def test_listen_radius_override_matches_brute_force(self):
         dep = uniform_deployment(150, 12, 12, rng=3)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 1)
-        bucketed = NodeSchedule(dep.positions, 2.0, dep.source_index)
-        monkeypatch.setattr(schedule_module, "BUCKETED_SCHEDULE_MIN_NODES", 10**9)
-        dense = NodeSchedule(dep.positions, 2.0, dep.source_index)
+        sched = NodeSchedule(dep.positions, 2.0, dep.source_index)
+        slots = [sched.slot_of_node(i) for i in range(150)]
+        table = _reference_neighbor_slots(sched.positions, slots, 5.0)
         for node in (0, 7, 149):
-            assert bucketed.neighbor_slots_of_node(node, 5.0) == dense.neighbor_slots_of_node(node, 5.0)
+            assert sched.neighbor_slots_of_node(node, 5.0) == table[node]
+
+    def test_zero_separation_keeps_only_coincident_conflicts(self):
+        positions = np.asarray([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
+        sched = NodeSchedule(positions, 2.0, 0, separation=0.0)
+        slots = [sched.slot_of_node(i) for i in range(4)]
+        assert slots == _reference_colouring(positions, 0.0, 0)
+        assert slots[0] != slots[1] and slots[2] != slots[3]

@@ -190,14 +190,17 @@ class TestThreeTierEquivalence:
         _assert_tiers_identical(runs)
         assert runs["soa"][2]["soa_kernels"]["slots_run"] > 0
 
-    def test_tiling_composes_with_the_kernels(self, uniform_small_deployment, nw_config):
-        clear_link_cache()
-        sim = build_simulation(
-            uniform_small_deployment, nw_config, use_soa_kernels=True, use_spatial_tiling=True
-        )
-        tiled = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
+    def test_kernels_match_the_brute_force_link_state(
+        self, uniform_small_deployment, nw_config, use_brute_force_links
+    ):
+        """The group adjacency compiled from the CSR state and from the
+        brute-force pairwise state drive identical runs."""
         runs = _run_tiers(uniform_small_deployment, nw_config)
-        assert tiled == (runs["soa"][0], runs["soa"][1])
+        use_brute_force_links()
+        clear_link_cache()
+        sim = build_simulation(uniform_small_deployment, nw_config, use_soa_kernels=True)
+        reference = (sim.run(MAX_ROUNDS).to_record(), sim.rng.random())
+        assert reference == (runs["soa"][0], runs["soa"][1])
 
 
 class TestScalarFallback:
