@@ -235,8 +235,9 @@ def capture_macros(log) -> dict:
             "runtime_tiers": {
                 "soa_kernels": info.get("soa_kernels", {"enabled": False}),
             },
-            # The CSR link state's tiling shape and link counts.
-            "spatial_tiling": info["spatial_tiling"],
+            # What the link state the SoA kernels read reports (the CSR
+            # size for unit disk; empty for Friis or when none was built).
+            "link_state": info["link_state"],
         }
         section[macro["name"]] = entry
         log(f"  macro {macro['name']:<22} {elapsed:8.2f}s  {entry['result_sha256'][:12]}")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.regions import SquareGrid
-from ..topology.geometry import as_positions
+from ..topology.geometry import as_positions, block_distances, neighbors_within
 
 __all__ = [
     "random_fault_selection",
@@ -86,14 +86,9 @@ def faults_in_neighborhood(
 ) -> list[int]:
     """Select up to ``count`` devices within one neighborhood (targeted jamming)."""
     gen = np.random.default_rng(rng)
-    pos = as_positions(positions)
-    c = np.asarray(center, dtype=float)
-    if norm == "linf":
-        dist = np.max(np.abs(pos - c[None, :]), axis=1)
-    else:
-        dist = np.sqrt(np.sum((pos - c[None, :]) ** 2, axis=1))
     excluded = set(int(i) for i in exclude)
-    candidates = [int(i) for i in np.nonzero(dist <= radius)[0] if int(i) not in excluded]
+    nearby = neighbors_within(positions, center, radius, norm)
+    candidates = [int(i) for i in nearby if int(i) not in excluded]
     if count >= len(candidates):
         return sorted(candidates)
     picked = gen.choice(len(candidates), size=count, replace=False)
@@ -109,10 +104,5 @@ def max_faults_per_neighborhood(
     faulty_idx = np.asarray(sorted(set(int(i) for i in faulty)), dtype=int)
     if faulty_idx.size == 0:
         return 0
-    fpos = pos[faulty_idx]
-    diff = pos[:, None, :] - fpos[None, :, :]
-    if norm == "linf":
-        dist = np.max(np.abs(diff), axis=-1)
-    else:
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
+    dist = block_distances(pos, pos[faulty_idx], norm)
     return int((dist <= radius).sum(axis=1).max())

@@ -290,24 +290,23 @@ class NodeSchedule(Schedule):
         self._slots = slots
         num_slots = int(slots.max()) + 1 if n else 1
         super().__init__(num_slots=max(num_slots, 1), phases_per_slot=phases_per_slot)
-        self._owners: dict[int, tuple[int, ...]] = {}
-        for node in range(n):
-            self._owners.setdefault(int(slots[node]), tuple())
         grouped: dict[int, list[int]] = {}
         for node in range(n):
             grouped.setdefault(int(slots[node]), []).append(node)
-        self._owners = {slot: tuple(ids) for slot, ids in grouped.items()}
-        self._neighbor_slot_tables: dict[float, list[list[int]]] = {}
+        self._owners: dict[int, tuple[int, ...]] = {
+            slot: tuple(ids) for slot, ids in grouped.items()
+        }
+        self._neighbor_slot_table: list[list[int]] | None = None
 
     def _neighborhoods(self, threshold: float, *, include_self: bool):
         """Per-node neighbor ids at ``threshold`` from grid-bucketed queries.
 
         Returns a callable ``node -> ascending neighbor id array``, read off
         :class:`~repro.topology.grid.GridBuckets` CSR arrays built without
-        materializing anything quadratic.  The distance predicate is the
-        elementwise expression of
-        :func:`~repro.topology.geometry.pairwise_distances`, so the sets equal
-        the brute-force ``distance <= threshold`` ones exactly.
+        materializing anything quadratic.  The distance predicate is
+        :func:`~repro.topology.geometry.block_distances`, the function
+        :func:`~repro.topology.geometry.pairwise_distances` calls, so the sets
+        equal the brute-force ``distance <= threshold`` ones exactly.
         """
         # Any positive cell size is correct; a non-positive threshold keeps
         # only coincident nodes, and the radius is a fine cell for that.
@@ -322,17 +321,16 @@ class NodeSchedule(Schedule):
     def owners_of_slot(self, slot: int) -> tuple[int, ...]:
         return self._owners.get(slot, tuple())
 
-    def neighbor_slots_of_node(self, node_id: int, listen_radius: float | None = None) -> list[int]:
+    def neighbor_slots_of_node(self, node_id: int) -> list[int]:
         """Slots of devices within communication range of ``node_id`` (plus the source slot).
 
-        Every device queries this during protocol setup, so the answers for a
-        given radius are computed for all nodes in one pass (see
-        :meth:`_neighborhoods`) and cached; subsequent calls are a list copy.
+        Every device queries this during protocol setup, so the answers are
+        computed for all nodes in one pass (see :meth:`_neighborhoods`) and
+        cached; subsequent calls are a list copy.
         """
-        r = self.radius if listen_radius is None else listen_radius
-        table = self._neighbor_slot_tables.get(r)
+        table = self._neighbor_slot_table
         if table is None:
-            neighbors_of = self._neighborhoods(r, include_self=True)
+            neighbors_of = self._neighborhoods(self.radius, include_self=True)
             slots = self._slots
             table = []
             for node in range(self.positions.shape[0]):
@@ -340,17 +338,16 @@ class NodeSchedule(Schedule):
                 node_slots = set(slots[nearby].tolist())
                 node_slots.add(SOURCE_SLOT)
                 table.append(sorted(node_slots))
-            self._neighbor_slot_tables[r] = table
+            self._neighbor_slot_table = table
         return list(table[node_id])
 
-    def owner_in_neighborhood(self, slot: int, node_id: int, listen_radius: float | None = None) -> int | None:
+    def owner_in_neighborhood(self, slot: int, node_id: int) -> int | None:
         """The unique owner of ``slot`` within range of ``node_id``, if any.
 
         This is how a MultiPathRB receiver resolves "who sent this": the slot
         plus the schedule identify the sender's location, because the schedule
         never reuses a slot within ``separation`` of the listener.
         """
-        r = self.radius if listen_radius is None else listen_radius
         candidates = []
         pos = self.positions
         for owner in self.owners_of_slot(slot):
@@ -358,7 +355,7 @@ class NodeSchedule(Schedule):
                 d = float(np.max(np.abs(pos[owner] - pos[node_id])))
             else:
                 d = float(np.sqrt(np.sum((pos[owner] - pos[node_id]) ** 2)))
-            if d <= r:
+            if d <= self.radius:
                 candidates.append(owner)
         if len(candidates) == 1:
             return candidates[0]

@@ -45,16 +45,15 @@ adversary transmitter, and every non-compilable configuration — runs on the
 per-device loop in :meth:`Simulation._run_slot_scalar`, which is also the
 scalar oracle the SoA kernels are pinned against.
 
-Link state
-----------
-Below the plan, the channel keeps one CSR link state
-(:mod:`repro.sim.linkstate`) at every node count: node positions plus each
-node's neighborhood out to the interaction range, built per region tile.  It
-is cached per ``(channel, positions)`` pair in a small module-level LRU, so
-repeated simulations over the same deployment reuse it.  The SoA tier reads
-its group adjacency and power blocks from it; the scalar loop resolves each
-round one way — round memo, then the state's exact ``submatrix``, then
-:meth:`~repro.sim.radio.Channel.resolve_links`.
+Round resolution and link state
+-------------------------------
+The scalar loop resolves each round one way: the round memo, then
+:meth:`~repro.sim.radio.Channel.observe` on the listeners' positions.  Only
+the SoA tier reads a link state (:mod:`repro.sim.linkstate`: the CSR
+audibility graph for unit disk, positions plus the exact power block for
+Friis), so it is built only when that tier is on for an eligible channel.
+It is cached per ``(channel, positions)`` pair in a small module-level LRU,
+so repeated simulations over the same deployment reuse it.
 
 The RNG contract is strict: stochastic channel configurations bypass the
 round memo entirely and consume the generator exactly as the scalar reference
@@ -78,7 +77,6 @@ import numpy as np
 from ..core.protocol import Observation, SILENCE
 from ..core.schedule import Schedule
 from .events import EventKind, EventLog
-from .linkstate import LinkState
 from .node import SimNode
 from .plan import REC_ID, REC_NODE, REC_ACT, REC_OBSERVE, REC_END_SLOT, REC_HONEST, REC_POSITION, SlotPlan
 from .radio import Channel, Transmission
@@ -108,14 +106,14 @@ def default_soa_kernels() -> bool:
     return value not in ("0", "false", "no", "off")
 
 
-#: Bounded cache of channel link states (CSR neighborhoods + positions),
+#: Bounded cache of channel link states (see :mod:`repro.sim.linkstate`),
 #: keyed by the channel's link signature and the (immutable) bytes of the
 #: position array.  A handful of entries is enough: within one process the
 #: same deployment is typically re-simulated back-to-back (protocol
 #: comparisons, repeated seeds).  Introspect with :func:`link_cache_info`,
 #: reset with :func:`clear_link_cache` — tests that assert on cache behaviour
 #: must clear it first or they observe each other's entries.
-_LINK_CACHE: "OrderedDict[tuple, LinkState]" = OrderedDict()
+_LINK_CACHE: OrderedDict = OrderedDict()
 _LINK_CACHE_MAX_ENTRIES = 8
 _LINK_CACHE_HITS = 0
 _LINK_CACHE_MISSES = 0
@@ -149,7 +147,7 @@ def clear_link_cache() -> None:
     _LINK_CACHE_MISSES = 0
 
 
-def _cached_link_state(channel: Channel, positions: np.ndarray) -> LinkState:
+def _cached_link_state(channel: Channel, positions: np.ndarray):
     """The channel's link state for ``positions``, via the module-level cache."""
     global _LINK_CACHE_HITS, _LINK_CACHE_MISSES
     key = (channel.link_signature(), positions.shape, positions.tobytes())
@@ -222,13 +220,13 @@ class Simulation:
 
         self._positions = np.asarray([n.position for n in self.nodes], dtype=float)
         self.plan = SlotPlan(self.nodes, schedule)
-        self._link_state = _cached_link_state(channel, self._positions)
         # Whole-round memoization is only sound when resolving a round cannot
         # consume RNG (otherwise replaying a cached round would desynchronise
         # the generator relative to the scalar reference execution).
         self._memo_rounds = not channel.consumes_rng()
         # The SoA tier compiles whole slots into bitmask kernels.  It reads
-        # channel structure from the link state and needs a channel whose
+        # channel structure from the link state — the only reader, so the
+        # state is built here and nowhere else — and needs a channel whose
         # per-capability verdict (soa_round_support) is fully eligible:
         # disjunction or power-sum busy, with loss draws batchable in
         # listener order (unit-disk capture draws are data-dependent and
@@ -237,8 +235,10 @@ class Simulation:
         if use_soa_kernels is None:
             use_soa_kernels = default_soa_kernels()
         self.use_soa_kernels = bool(use_soa_kernels)
+        self._link_state = None
         self.soa_runtime: Optional[SoaRuntime] = None
         if self.use_soa_kernels and channel.supports_soa_rounds():
+            self._link_state = _cached_link_state(channel, self._positions)
             runtime = SoaRuntime(
                 self.nodes,
                 self.plan,
@@ -271,17 +271,16 @@ class Simulation:
           loop because an opportunistic transmitter joined, and the
           busy-pattern memo counters (evictions count entries dropped by
           wholesale overflow clears of a group's memo);
-        * ``"spatial_tiling"`` — what the CSR link state reports:
-          ``{"tiles", "occupied_tiles", "tile_side", "grid_cols",
-          "grid_rows", "nnz", "index_dtype", "interior_links",
-          "boundary_links"}``: the static tiling shape, the CSR size (self
-          links included) and index dtype, and its static interior/boundary
-          link split.
+        * ``"link_state"`` — what the built link state reports: ``{"nnz",
+          "index_dtype"}`` (the CSR size, self links included, and its index
+          dtype) for unit disk; ``{}`` for Friis, whose state stores no
+          links, and when no state was built (SoA tier off or ineligible).
         """
         info = self.plan.cache_info()
         soa = self.soa_runtime
         info["soa_kernels"] = soa.info() if soa is not None else {"enabled": False}
-        info["spatial_tiling"] = self._link_state.info()
+        state = self._link_state
+        info["link_state"] = state.info() if hasattr(state, "info") else {}
         return info
 
     # -- execution ------------------------------------------------------------------------
@@ -428,7 +427,7 @@ class Simulation:
         listeners: list[int],
         transmissions: list[Transmission],
     ) -> list[Observation]:
-        """Observations for one round: round memo, then the exact submatrix.
+        """Observations for one round: round memo, then :meth:`Channel.observe`.
 
         The round memo is consulted only for RNG-free channel configurations;
         its key pins everything observations depend on — the slot occurrence
@@ -436,18 +435,22 @@ class Simulation:
         air.  Stochastic configurations always resolve, consuming the RNG in
         exactly the scalar reference order.
         """
-        senders = tuple(t.sender for t in transmissions)
         memo = self.plan.round_memo if self._memo_rounds else None
         if memo is not None:
-            memo_key = (occurrence_key, senders, tuple(t.frame for t in transmissions))
+            memo_key = (
+                occurrence_key,
+                tuple(t.sender for t in transmissions),
+                tuple(t.frame for t in transmissions),
+            )
             observations = memo.get(memo_key)
             if observations is not None:
                 self.plan.round_memo_hits += 1
                 memo.move_to_end(memo_key)
                 return observations
             self.plan.round_memo_misses += 1
-        submatrix = self._link_state.submatrix(listeners, senders)
-        observations = self.channel.resolve_links(submatrix, transmissions, self.rng)
+        observations = self.channel.observe(
+            listeners, self._positions[listeners], transmissions, self.rng
+        )
         if memo is not None:
             memo[memo_key] = observations
             while len(memo) > self.plan.round_memo_max_entries:

@@ -53,9 +53,6 @@ class SlotPlan:
     """Static execution structure of one :class:`~repro.sim.engine.Simulation`."""
 
     __slots__ = (
-        "interest_map",
-        "interest_sets",
-        "flex_transmitters",
         "slot_records",
         "flex_candidates",
         "participant_arrays",
@@ -64,7 +61,6 @@ class SlotPlan:
         "round_memo_hits",
         "round_memo_misses",
         "_tx_cache",
-        "_node_records",
     )
 
     def __init__(
@@ -78,9 +74,8 @@ class SlotPlan:
         # the protocol's bound methods resolved once, and the per-slot record
         # lists (records appended directly, so no second id-to-record pass).
         record_lists: dict[int, list[tuple]] = {}
-        flex_transmitters: list[int] = []
-        self._node_records: dict[int, tuple] = {}
-        wants_slot_by_id: dict[int, object] = {}
+        # (wants_slot, record) of every flexible transmitter, in declaration order.
+        flex: list[tuple] = []
         num_slots = schedule.num_slots
         for node in nodes:
             proto = node.protocol
@@ -95,8 +90,6 @@ class SlotPlan:
                 node.honest,
                 node.position,
             )
-            self._node_records[node.node_id] = record
-            wants_slot_by_id[node.node_id] = proto.wants_slot
             declared: set[int] = set()
             for slot in proto.interests():
                 if not (0 <= slot < num_slots):
@@ -116,27 +109,19 @@ class SlotPlan:
                 else:
                     slot_list.append(record)
             if getattr(proto, "may_transmit_anywhere", False):
-                flex_transmitters.append(node.node_id)
+                flex.append((proto.wants_slot, record))
 
         self.slot_records: dict[int, tuple] = {
             slot: tuple(records) for slot, records in record_lists.items()
         }
-        self.interest_map: dict[int, tuple[int, ...]] = {
-            slot: tuple(record[REC_ID] for record in records)
-            for slot, records in self.slot_records.items()
-        }
-        self.interest_sets: dict[int, frozenset[int]] = {
-            slot: frozenset(ids) for slot, ids in self.interest_map.items()
-        }
-        self.flex_transmitters: tuple[int, ...] = tuple(flex_transmitters)
 
         # Frozen per-slot participant ids, in record order.  Shared with the
         # SoA compiler, which adopts each
         # array as its group's member_ids (ascending ids are what make the
         # packed-mask member indexing line up with scalar record order).
         self.participant_arrays: dict[int, np.ndarray] = {}
-        for slot, ids in self.interest_map.items():
-            array = np.asarray(ids, dtype=np.intp)
+        for slot, records in self.slot_records.items():
+            array = np.asarray([record[REC_ID] for record in records], dtype=np.intp)
             array.setflags(write=False)
             self.participant_arrays[slot] = array
 
@@ -145,14 +130,10 @@ class SlotPlan:
         # used to recompute per slot, so adversary wants_slot() calls (which
         # may consume their private RNG) happen in exactly the same order.
         self.flex_candidates: dict[int, tuple] = {}
-        if self.flex_transmitters:
-            for slot in range(schedule.num_slots):
-                base = self.interest_sets.get(slot, frozenset())
-                candidates = tuple(
-                    (wants_slot_by_id[nid], self._node_records[nid])
-                    for nid in self.flex_transmitters
-                    if nid not in base
-                )
+        if flex:
+            for slot in range(num_slots):
+                base = {record[REC_ID] for record in self.slot_records.get(slot, ())}
+                candidates = tuple(entry for entry in flex if entry[1][REC_ID] not in base)
                 if candidates:
                     self.flex_candidates[slot] = candidates
 
@@ -164,10 +145,6 @@ class SlotPlan:
         self._tx_cache: dict[tuple, Transmission] = {}
 
     # -- hot-path helpers ------------------------------------------------------------
-    def node_record(self, node_id: int) -> tuple:
-        """The compiled record of one device (participants and flex joiners)."""
-        return self._node_records[node_id]
-
     def transmission(self, node_id: int, position, frame) -> Transmission:
         """Interned ``Transmission`` for a sender/frame pair."""
         key = (node_id, frame)

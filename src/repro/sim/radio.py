@@ -17,18 +17,20 @@ Two propagation models are provided, mirroring the paper's two system models:
 Both channels operate on batches: given the listeners and the transmitters of
 one round they return one observation per listener, fully vectorised in NumPy.
 
+Every round resolves through :meth:`Channel.observe`, which derives the
+``(listeners, senders)`` block from positions — the distance block of
+:func:`~repro.topology.geometry.block_distances`, and for Friis the power
+block of :meth:`FriisChannel.received_powers`.
+
 Link state
 ----------
 For a static deployment the pairwise quantity a channel derives from node
-positions (audibility for the unit-disk model, received power for Friis) never
-changes during a run.  :meth:`Channel.link_state` therefore builds, once, the
-CSR :class:`~repro.sim.linkstate.LinkState` of the deployment: positions plus
-each node's neighborhood out to the interaction range, whose
-:meth:`~repro.sim.linkstate.LinkState.submatrix` recomputes any round's exact
-``(listeners, senders)`` block.  The engine caches the state per ``(channel,
-positions)`` pair and resolves each scalar round with :meth:`Channel.resolve_links`
-on that block; :meth:`Channel.observe` derives the same block from raw
-positions and is the reference both are tested against.
+positions never changes during a run, so the struct-of-arrays kernels
+(:mod:`repro.sim.soa`) compile against :meth:`Channel.link_state`, built once
+per deployment: the CSR audibility graph for the unit-disk model, and
+positions plus the same power-block function for Friis
+(:mod:`repro.sim.linkstate`).  Because the state and :meth:`Channel.observe`
+call the same functions, the two agree bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import numpy as np
 from ..core.messages import Frame
 from ..core.protocol import ChannelState, Observation, SILENCE
 from ..registry import ChannelPlugin, register_channel
-from .linkstate import FriisLinkState, LinkState, UnitDiskLinkState
+from ..topology.geometry import block_distances
+from .linkstate import FriisLinkState, UnitDiskLinkState
 
 __all__ = [
     "Transmission",
@@ -112,10 +115,9 @@ class SoaRoundSupport:
         contract).
     verdicts:
         ``(capability, ok, reason)`` triples, one per capability —
-        ``channel`` (busy model), ``kernels`` (vectorized kernels knob),
-        ``loss``, ``capture`` and ``trace``.  ``reason`` explains the
-        verdict either way; for a failed capability it says *why* the
-        configuration stays on the scalar tier.
+        ``channel`` (busy model), ``loss``, ``capture`` and ``trace``.
+        ``reason`` explains the verdict either way; for a failed capability
+        it says *why* the configuration stays on the scalar tier.
     """
 
     eligible: bool
@@ -130,12 +132,6 @@ class SoaRoundSupport:
 
 class Channel(abc.ABC):
     """Interface of a per-round channel model."""
-
-    #: Whether the per-round resolvers may take their vectorized fast paths.
-    #: The scalar fallbacks produce identical observations and consume the RNG
-    #: identically (the equivalence test suite asserts both); flipping this to
-    #: ``False`` on an instance forces the scalar reference implementation.
-    use_vectorized_kernels: bool = True
 
     @abc.abstractmethod
     def observe(
@@ -157,27 +153,11 @@ class Channel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def link_state(self, positions: np.ndarray) -> LinkState:
-        """The CSR link state of a static deployment.
+    def link_state(self, positions: np.ndarray):
+        """The link state the SoA kernels compile against, for a static deployment.
 
-        ``positions`` is the ``(N, 2)`` array of all node positions.  The
-        state's :meth:`~repro.sim.linkstate.LinkState.submatrix` is what
-        :meth:`resolve_links` consumes.
-        """
-
-    @abc.abstractmethod
-    def resolve_links(
-        self,
-        submatrix: np.ndarray,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        """Resolve one round from its link-state submatrix.
-
-        ``submatrix`` is the ``(listeners, senders)`` block of
-        :meth:`link_state` for this round's listeners and transmitters, in
-        their respective orders.  Must produce exactly the observations of
-        :meth:`observe` on the same round and consume the RNG identically.
+        ``positions`` is the ``(N, 2)`` array of all node positions; see
+        :mod:`repro.sim.linkstate` for the shape each channel builds.
         """
 
     def consumes_rng(self) -> bool:
@@ -196,10 +176,10 @@ class Channel(abc.ABC):
         The SoA tier (:mod:`repro.sim.soa`) compiles whole slots into mask
         kernels that bypass per-round resolution.  This method decomposes
         eligibility into independent capabilities — the busy model
-        (disjunction vs power sum), the vectorized-kernel knob, loss draws,
-        capture draws and tracing — each with a human-readable reason, so
-        the eligibility surfaces (``experiments describe``, run summaries)
-        can say *which* predicate failed rather than just "ineligible".
+        (disjunction vs power sum), loss draws, capture draws and tracing —
+        each with a human-readable reason, so the eligibility surfaces
+        (``experiments describe``, run summaries) can say *which* predicate
+        failed rather than just "ineligible".
         Channels without an SoA round model return the ineligible default.
         """
         return SoaRoundSupport(
@@ -264,12 +244,6 @@ class UnitDiskChannel(Channel):
         self.capture_probability = float(capture_probability)
         self.loss_probability = float(loss_probability)
 
-    def _distances(self, listeners: np.ndarray, transmitters: np.ndarray) -> np.ndarray:
-        diff = listeners[:, None, :] - transmitters[None, :, :]
-        if self.norm == "linf":
-            return np.max(np.abs(diff), axis=-1)
-        return np.sqrt(np.sum(diff**2, axis=-1))
-
     def link_signature(self) -> tuple:
         return ("unitdisk", self.radius, self.norm)
 
@@ -279,7 +253,7 @@ class UnitDiskChannel(Channel):
         Unit-disk audibility beyond the radius is exactly ``False``, so the
         CSR stores the complete physics — no truncation is involved.
         """
-        return UnitDiskLinkState(np.asarray(positions, dtype=float), self.radius, self.norm)
+        return UnitDiskLinkState(positions, self.radius, self.norm)
 
     def soa_round_support(self) -> SoaRoundSupport:
         """Unit-disk rounds lower to disjunction kernels; capture stays scalar.
@@ -300,13 +274,6 @@ class UnitDiskChannel(Channel):
         loss = self.loss_probability
         verdicts = (
             ("channel", True, "unit-disk busy is a per-listener audibility disjunction"),
-            (
-                "kernels",
-                self.use_vectorized_kernels,
-                "vectorized kernels on"
-                if self.use_vectorized_kernels
-                else "use_vectorized_kernels=False pins the scalar reference loop",
-            ),
             (
                 "loss",
                 True,
@@ -342,17 +309,13 @@ class UnitDiskChannel(Channel):
     ) -> list[Observation]:
         """Observations from a (listener, transmission) audibility mask.
 
-        Shared by :meth:`observe` and :meth:`resolve_links` so both consume
-        the RNG identically.  Dispatches
-        to a vectorized kernel whenever the configuration's RNG draw sequence
-        is listener-ordered (and therefore batchable): the deterministic
-        default consumes no RNG at all, and the loss-only configuration draws
-        exactly once per single-transmission listener, in listener order.
-        Capture configurations interleave data-dependent draws and fall back
-        to the scalar reference loop.
+        Takes a vectorized kernel whenever the configuration's RNG draw
+        sequence is listener-ordered (and therefore batchable): the
+        deterministic default consumes no RNG at all, and the loss-only
+        configuration draws exactly once per single-transmission listener, in
+        listener order.  Capture configurations interleave data-dependent
+        draws and take the per-listener reference loop.
         """
-        if not self.use_vectorized_kernels:
-            return self._resolve_audible_scalar(audible, transmissions, rng)
         if self.capture_probability == 0.0:
             counts = audible.sum(axis=1)
             num_listeners = audible.shape[0]
@@ -429,17 +392,8 @@ class UnitDiskChannel(Channel):
 
         tx_pos = np.asarray([t.position for t in transmissions], dtype=float)
         listeners = np.asarray(listener_positions, dtype=float).reshape(num_listeners, 2)
-        dist = self._distances(listeners, tx_pos)
-        audible = dist <= self.radius + 1e-12
+        audible = block_distances(listeners, tx_pos, self.norm) <= self.radius + 1e-12
         return self._resolve_audible(audible, transmissions, rng)
-
-    def resolve_links(
-        self,
-        submatrix: np.ndarray,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        return self._resolve_audible(submatrix, transmissions, rng)
 
 
 class FriisChannel(Channel):
@@ -501,28 +455,26 @@ class FriisChannel(Channel):
         """Distance out to which a lone transmission is sensed (but maybe not decoded)."""
         return self.reception_range * self.sense_range_factor
 
+    def received_powers(self, listeners: np.ndarray, senders: np.ndarray) -> np.ndarray:
+        """``(listeners, senders)`` received-power block from two position arrays.
+
+        The one copy of the Friis power arithmetic: :meth:`observe` and the
+        SoA tier's :class:`~repro.sim.linkstate.FriisLinkState` both call it.
+        It reads exactly the parameters :meth:`link_signature` lists.
+        """
+        dist = np.maximum(block_distances(listeners, senders, "l2"), self.reference_distance)
+        return self.tx_power * (self.reference_distance / dist) ** self.path_loss_exponent
+
     def link_signature(self) -> tuple:
-        return (
-            "friis",
-            self.sense_range,
-            self.path_loss_exponent,
-            self.tx_power,
-            self.reference_distance,
-        )
+        return ("friis", self.path_loss_exponent, self.tx_power, self.reference_distance)
 
     def link_state(self, positions: np.ndarray) -> FriisLinkState:
-        """Positions + sense-range CSR; round powers are recomputed exactly.
+        """Positions + :meth:`received_powers`; every block is exact.
 
-        Every sender's power still reaches every listener's interference
-        sum — see :class:`~repro.sim.linkstate.FriisLinkState`.
+        Every sender's power reaches every listener's interference sum, so
+        nothing is truncated however sparse the topology is.
         """
-        return FriisLinkState(
-            np.asarray(positions, dtype=float),
-            sense_range=self.sense_range,
-            tx_power=self.tx_power,
-            reference_distance=self.reference_distance,
-            path_loss_exponent=self.path_loss_exponent,
-        )
+        return FriisLinkState(positions, self.received_powers)
 
     def observe(
         self,
@@ -539,19 +491,8 @@ class FriisChannel(Channel):
 
         tx_pos = np.asarray([t.position for t in transmissions], dtype=float)
         listeners = np.asarray(listener_positions, dtype=float).reshape(num_listeners, 2)
-        diff = listeners[:, None, :] - tx_pos[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        dist = np.maximum(dist, self.reference_distance)
-        powers = self.tx_power * (self.reference_distance / dist) ** self.path_loss_exponent
+        powers = self.received_powers(listeners, tx_pos)
         return self._resolve_powers(powers, transmissions, rng)
-
-    def resolve_links(
-        self,
-        submatrix: np.ndarray,
-        transmissions: Sequence[Transmission],
-        rng: np.random.Generator,
-    ) -> list[Observation]:
-        return self._resolve_powers(submatrix, transmissions, rng)
 
     def consumes_rng(self) -> bool:
         return self.loss_probability > 0.0
@@ -575,13 +516,6 @@ class FriisChannel(Channel):
                 "channel",
                 True,
                 "friis busy is a power sum → per-group power blocks precompiled",
-            ),
-            (
-                "kernels",
-                self.use_vectorized_kernels,
-                "vectorized kernels on"
-                if self.use_vectorized_kernels
-                else "use_vectorized_kernels=False pins the scalar reference loop",
             ),
             (
                 "loss",
@@ -617,8 +551,6 @@ class FriisChannel(Channel):
         Every arithmetic step mirrors the scalar loop's expressions operation
         for operation, so the results are bit-identical, not just close.
         """
-        if not self.use_vectorized_kernels:
-            return self._resolve_powers_scalar(powers, transmissions, rng)
         num_listeners = powers.shape[0]
         total = powers.sum(axis=1)
         sensed = total >= self.sense_threshold
@@ -652,8 +584,8 @@ class FriisChannel(Channel):
     ) -> list[Observation]:
         """Reference per-listener loop (the pre-vectorization implementation).
 
-        Kept as the oracle for the kernel-equivalence tests; not used on the
-        hot path unless :attr:`use_vectorized_kernels` is flipped off.
+        Kept as the oracle the kernel-equivalence tests compare
+        :meth:`_resolve_powers` against; never on the simulation path.
         """
         num_listeners = powers.shape[0]
         total = powers.sum(axis=1)

@@ -118,9 +118,10 @@ class _PowerColumns:
     spend seconds compiling blocks for a sub-second run.  The kernels only
     ever read transmitter *columns*, and steady-state slots cycle through a
     handful of transmitter sets, so columns are fetched on first use
-    (batched per miss) and cached per member.  Column ``j`` equals column
-    ``j`` of the link state's exact ``submatrix`` (the block the scalar loop
-    hands ``_resolve_powers``) float for float, and :meth:`gather` lays the
+    (batched per miss) and cached per member.  Column ``j`` comes from
+    :meth:`~repro.sim.radio.FriisChannel.received_powers`, the function whose
+    block the scalar loop's ``observe`` hands ``_resolve_powers``, so it is
+    equal float for float, and :meth:`gather` lays the
     requested columns out ``(n, k)`` in request order exactly like
     ``block[:, idx]`` — same values in the same reduction order, hence
     bit-identical row sums.
@@ -587,7 +588,7 @@ class SoaRuntime:
     CSR adjacency out of the link state's global CSR, ``"power-sum"`` builds
     a lazy member×member power-column cache (:class:`_PowerColumns`) — and
     carries the loss probability; ``rng`` is the simulation generator the
-    loss draws are burned from (required whenever loss is configured).
+    loss draws are burned from.
     """
 
     def __init__(
@@ -597,15 +598,13 @@ class SoaRuntime:
         link_state,
         phases_per_slot: int,
         *,
-        channel=None,
-        rng=None,
+        channel,
+        rng: np.random.Generator,
     ) -> None:
-        support = channel.soa_round_support() if channel is not None else None
-        self.busy_mode = support.busy if support is not None else "disjunction"
-        self.loss = float(support.loss_probability) if support is not None else 0.0
-        self.rng_random = rng.random if rng is not None else None
-        if self.loss > 0.0 and self.rng_random is None:
-            raise ValueError("loss-drawing SoA kernels need the simulation rng")
+        support = channel.soa_round_support()
+        self.busy_mode = support.busy
+        self.loss = float(support.loss_probability)
+        self.rng_random = rng.random
         self.sense_threshold = 0.0
         self.reception_threshold = 0.0
         self.capture_threshold = 0.0

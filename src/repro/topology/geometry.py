@@ -25,6 +25,7 @@ __all__ = [
     "as_positions",
     "linf_distance",
     "l2_distance",
+    "block_distances",
     "pairwise_distances",
     "neighbors_within",
     "neighborhood_matrix",
@@ -96,6 +97,23 @@ def l2_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((a - b) ** 2, axis=-1))
 
 
+def block_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
+    """``(len(a), len(b))`` distance block between two ``(N, 2)`` position arrays.
+
+    The one place positions become pairwise distances: the dense helpers,
+    the grid-bucketed neighbor queries and the channels' per-round blocks all
+    call it, so their predicates agree bit for bit.  (Elementwise float64
+    ufuncs give the same bits whatever the block shape, which is what lets a
+    bucketed sub-block reproduce the full matrix.)
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    if norm == "linf":
+        return np.max(np.abs(diff), axis=-1)
+    if norm == "l2":
+        return np.sqrt(np.sum(diff**2, axis=-1))
+    raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")
+
+
 def pairwise_distances(positions: np.ndarray, norm: str = "linf") -> np.ndarray:
     """Full ``(N, N)`` pairwise distance matrix under the requested norm.
 
@@ -104,12 +122,7 @@ def pairwise_distances(positions: np.ndarray, norm: str = "linf") -> np.ndarray:
     nodes fits comfortably in memory (N^2 * 8 bytes).
     """
     pos = as_positions(positions)
-    diff = pos[:, None, :] - pos[None, :, :]
-    if norm == "linf":
-        return np.max(np.abs(diff), axis=-1)
-    if norm == "l2":
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")
+    return block_distances(pos, pos, norm)
 
 
 def neighbors_within(
@@ -127,13 +140,7 @@ def neighbors_within(
     exclude the node itself filter by index).
     """
     pos = as_positions(positions)
-    c = np.asarray(center, dtype=float)
-    if norm == "linf":
-        d = np.max(np.abs(pos - c[None, :]), axis=1)
-    elif norm == "l2":
-        d = np.sqrt(np.sum((pos - c[None, :]) ** 2, axis=1))
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    d = block_distances(pos, np.asarray(center, dtype=float).reshape(1, 2), norm)[:, 0]
     if strict:
         return np.nonzero(d < radius)[0]
     return np.nonzero(d <= radius)[0]

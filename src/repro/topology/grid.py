@@ -10,9 +10,9 @@ size, maximum tolerable number of Byzantine devices).
 ``(N, 2)`` position array into square cells, answering radius queries and
 building CSR neighbor structures without ever touching an ``N x N`` matrix.
 Its results are *exact* — candidate pairs are over-collected from surrounding
-cells and then filtered with the very same elementwise distance expressions
-the dense code paths use, so the returned neighbor sets (and therefore
-everything built on top of them: link states, schedules, tilings) are
+cells and then filtered with :func:`~repro.topology.geometry.block_distances`,
+the same function the dense code paths call, so the returned neighbor sets
+(and therefore everything built on top of them: link states, schedules) are
 bit-identical to the brute-force computation.
 """
 
@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import block_distances
 
 __all__ = ["GridSpec", "grid_positions", "grid_index_of", "GridTopology", "GridBuckets"]
 
@@ -142,24 +144,6 @@ class GridTopology:
         return self.index_of(self.spec.width // 2, self.spec.height // 2)
 
 
-def _bucket_distances(block: np.ndarray, candidates: np.ndarray, norm: str) -> np.ndarray:
-    """Distance matrix between two position blocks, mirroring the dense kernels.
-
-    Uses exactly the elementwise expression sequence of
-    :func:`repro.topology.geometry.pairwise_distances` and the channels'
-    ``_distances`` helpers (subtract, abs/max for L-infinity; subtract,
-    square, 2-term sum, sqrt for L2).  Elementwise float64 ufuncs give the
-    same bits regardless of array shape, so filtering candidate pairs with
-    these values reproduces the dense predicate exactly.
-    """
-    diff = block[:, None, :] - candidates[None, :, :]
-    if norm == "linf":
-        return np.max(np.abs(diff), axis=-1)
-    if norm == "l2":
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    raise ValueError(f"unknown norm {norm!r}; expected 'linf' or 'l2'")
-
-
 class GridBuckets:
     """Spatial hash of positions into square cells for exact radius queries.
 
@@ -175,8 +159,9 @@ class GridBuckets:
     Queries return neighbor sets identical to the brute-force dense
     computation: candidate cells are taken with one extra ring beyond
     ``ceil(threshold / cell_size)`` (insurance against boundary rounding) and
-    candidates are filtered with :func:`_bucket_distances`, the same
-    elementwise arithmetic as the dense paths.
+    candidates are filtered with
+    :func:`~repro.topology.geometry.block_distances`, the very function the
+    dense paths call.
     """
 
     __slots__ = ("positions", "cell_size", "_cells", "_cell_of")
@@ -244,7 +229,7 @@ class GridBuckets:
         candidates = self._candidates_around(col, row, self._reach(threshold))
         if not candidates.size:
             return candidates
-        dist = _bucket_distances(c[None, :], self.positions[candidates], norm)[0]
+        dist = block_distances(c[None, :], self.positions[candidates], norm)[0]
         return candidates[dist <= threshold]
 
     def neighbor_arrays(
@@ -263,9 +248,7 @@ class GridBuckets:
         reach = self._reach(threshold)
         for (col, row), members in self._cells.items():
             candidates = self._candidates_around(col, row, reach)
-            dist = _bucket_distances(
-                self.positions[members], self.positions[candidates], norm
-            )
+            dist = block_distances(self.positions[members], self.positions[candidates], norm)
             mask = dist <= threshold
             if not include_self:
                 own_col = np.searchsorted(candidates, members)

@@ -28,25 +28,21 @@ def _isolated_link_cache():
 class BruteForceLinkState:
     """Reference link state read off the full pairwise distance matrix.
 
-    The CSR rows come from the brute-force ``pairwise_distances(...) <=
-    range + 1e-12`` predicate, and every block is sliced from the full
-    ``N x N`` audibility or power matrix, computed with the same elementwise
-    expressions as the channel's ``observe``.  Quadratic by design: it is the
-    oracle the engine's tile-built CSR state is checked against.
+    Unit disk: the CSR rows come from the brute-force ``pairwise_distances(...)
+    <= radius + 1e-12`` predicate.  Friis: every block is sliced from the full
+    ``N x N`` power matrix, written out in closed form.  Quadratic by design:
+    it is the oracle the engine's grid-bucketed state is checked against.
     """
 
     def __init__(self, channel, positions: np.ndarray) -> None:
         if isinstance(channel, FriisChannel):
-            dist = pairwise_distances(positions, norm="l2")
-            within = dist <= channel.sense_range + 1e-12
-            dist = np.maximum(dist, channel.reference_distance)
+            dist = np.maximum(pairwise_distances(positions, norm="l2"), channel.reference_distance)
             self.matrix = (
                 channel.tx_power
                 * (channel.reference_distance / dist) ** channel.path_loss_exponent
             )
-        else:
-            dist = pairwise_distances(positions, norm=channel.norm)
-            self.matrix = within = dist <= channel.radius + 1e-12
+            return
+        within = pairwise_distances(positions, norm=channel.norm) <= channel.radius + 1e-12
         rows, self.indices = np.nonzero(within)
         self.indptr = np.zeros(len(positions) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(positions)), out=self.indptr[1:])
@@ -55,7 +51,8 @@ class BruteForceLinkState:
         return self.matrix[np.ix_(listeners, senders)]
 
     def info(self) -> dict:
-        return {"nnz": int(self.indices.size)}
+        # The real Friis state stores no links and reports nothing.
+        return {"nnz": int(self.indices.size)} if hasattr(self, "indices") else {}
 
 
 @pytest.fixture
@@ -67,12 +64,6 @@ def use_brute_force_links(monkeypatch):
         monkeypatch.setattr(engine, "_cached_link_state", BruteForceLinkState)
 
     return install
-
-
-@pytest.fixture
-def brute_force_link_state():
-    """The :class:`BruteForceLinkState` class, for tests that build one directly."""
-    return BruteForceLinkState
 
 
 @pytest.fixture

@@ -409,13 +409,14 @@ class FlexBeacon(Beacon):
 class TestSlotPlan:
     """The compiled slot-plan layer: records, flex candidates and caches."""
 
-    def test_slot_records_cover_interest_map(self):
+    def test_slot_records_cover_participant_arrays(self):
         positions = [(0, 0), (1, 0), (2, 0)]
         sim, _ = make_sim(positions, [Beacon(0), Listener(0), Listener(0)])
         plan = sim.plan
-        assert set(plan.slot_records) == set(plan.interest_map)
-        for slot, ids in plan.interest_map.items():
-            assert tuple(rec[0] for rec in plan.slot_records[slot]) == ids
+        assert set(plan.slot_records) == set(plan.participant_arrays) == {0}
+        for slot, ids in plan.participant_arrays.items():
+            assert tuple(rec[0] for rec in plan.slot_records[slot]) == tuple(ids.tolist())
+        assert plan.participant_arrays[0].tolist() == [0, 1, 2]
 
     def test_participant_arrays_frozen(self):
         positions = [(0, 0), (1, 0)]
@@ -531,27 +532,58 @@ class TestPlanCacheInfoShape:
         "busy_cache_hits", "busy_cache_misses", "busy_cache_entries",
         "busy_cache_evictions",
     }
-    TILING_KEYS = {
-        "tiles", "occupied_tiles", "tile_side", "grid_cols", "grid_rows",
-        "nnz", "index_dtype", "interior_links", "boundary_links",
-    }
-
-    @pytest.mark.parametrize("soa", [True, False], ids=["soa", "scalar"])
-    def test_sections_match_the_documented_shape(self, uniform_small_deployment, soa):
+    @pytest.mark.parametrize(
+        "soa,channel,link_keys",
+        [
+            (True, "unitdisk", {"nnz", "index_dtype"}),
+            (True, "friis", set()),
+            (False, "unitdisk", set()),
+        ],
+        ids=["soa", "soa-friis", "scalar"],
+    )
+    def test_sections_match_the_documented_shape(
+        self, uniform_small_deployment, soa, channel, link_keys
+    ):
         from repro.sim.builder import build_simulation
         from repro.sim.config import ScenarioConfig
 
         clear_link_cache()
-        config = ScenarioConfig(protocol="neighborwatch", radius=3.0, message_length=3, seed=3)
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=3, channel=channel
+        )
         sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=soa)
         sim.run(300)
         info = sim.plan_cache_info()
         assert set(info) == {
-            "round_memo", "transmissions_interned", "soa_kernels", "spatial_tiling",
+            "round_memo", "transmissions_interned", "soa_kernels", "link_state",
         }
         assert set(info["round_memo"]) == self.COUNTERS
         assert set(info["soa_kernels"]) == (self.SOA_KEYS if soa else {"enabled"})
-        assert set(info["spatial_tiling"]) == self.TILING_KEYS
+        assert set(info["link_state"]) == link_keys
+
+
+class TestScalarOnlyBuildsNoLinkState:
+    """Only the SoA tier reads a link state, so a simulation that cannot
+    use that tier must not build one (nor touch the link cache)."""
+
+    @pytest.mark.parametrize(
+        "soa,capture", [(False, 0.0), (True, 0.5)], ids=["soa-off", "unitdisk-capture"]
+    )
+    def test_no_link_state_built(self, uniform_small_deployment, soa, capture):
+        from repro.sim.builder import build_simulation
+        from repro.sim.config import ScenarioConfig
+
+        clear_link_cache()
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=3,
+            capture_probability=capture,
+        )
+        sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=soa)
+        result = sim.run(300)
+        assert result.total_rounds > 0
+        assert link_cache_info()["misses"] == 0
+        assert link_cache_info()["entries"] == 0
+        assert sim.plan_cache_info()["link_state"] == {}
 
 
 class TestPackageExports:

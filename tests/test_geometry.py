@@ -68,6 +68,44 @@ class TestPairwiseDistances:
             geo.pairwise_distances([(0, 0)], norm="l1")
 
 
+class TestBlockDistances:
+    """Every pairwise distance in the package comes from ``block_distances``;
+    a sub-block must carry the very bits of the full matrix, which is what
+    lets grid-bucketed queries and per-round blocks reproduce it exactly."""
+
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=30
+        ),
+        data=st.data(),
+        norm=st.sampled_from(["linf", "l2"]),
+    )
+    def test_sub_blocks_equal_the_full_matrix_bit_for_bit(self, points, data, norm):
+        pos = np.asarray(points, dtype=float) / 3.0
+        n = len(points)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        full = geo.pairwise_distances(pos, norm=norm)
+        block = geo.block_distances(pos[rows], pos[cols], norm)
+        assert block.shape == (len(rows), len(cols))
+        assert np.array_equal(block, full[np.ix_(rows, cols)])
+        # One-row blocks (the radius queries) agree too.
+        assert np.array_equal(geo.block_distances(pos[rows[:1]], pos, norm)[0], full[rows[0]])
+
+    def test_rejects_unknown_norm_everywhere(self):
+        from repro.adversary.placement import faults_in_neighborhood, max_faults_per_neighborhood
+
+        pos = np.zeros((3, 2))
+        with pytest.raises(ValueError):
+            geo.block_distances(pos, pos, "l1")
+        with pytest.raises(ValueError):
+            geo.neighbors_within(pos, (0, 0), 1.0, norm="l1")
+        with pytest.raises(ValueError):
+            faults_in_neighborhood(pos, (0, 0), 1.0, 2, norm="l1")
+        with pytest.raises(ValueError):
+            max_faults_per_neighborhood(pos, [0], 1.0, norm="l1")
+
+
 class TestNeighborhoods:
     def test_neighbors_within_linf(self):
         pos = [(0, 0), (2, 0), (0, 2), (3, 3), (5, 5)]

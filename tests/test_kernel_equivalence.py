@@ -7,14 +7,15 @@ observations/records* to its scalar oracle **and leave the RNG at exactly
 the same stream position** (otherwise every later draw of a run diverges).
 These tests pin that contract:
 
-* property tests drive randomized listener/transmitter sets through both
-  channel implementations side by side (same seed) and compare observation
-  lists and the next RNG draw;
-* end-to-end tests run whole scenarios with the vectorized kernels forced
-  off — and, separately, with the SoA tier toggled or the CSR link state
-  swapped for a brute-force pairwise one — and compare the full result
-  records and the channel-RNG position (randomized SoA-vs-scalar properties
-  live in ``tests/test_soa_kernels.py``);
+* property tests drive randomized listener/transmitter sets through
+  ``observe`` and through the per-listener reference loops
+  (``_resolve_audible_scalar`` / ``_resolve_powers_scalar``) side by side
+  (same seed) and compare observation lists and the next RNG draw;
+* end-to-end tests run whole scenarios with the reference loops swapped in
+  on the scalar tier — and, separately, with the SoA tier toggled or the CSR
+  link state swapped for a brute-force pairwise one — and compare the full
+  result records and the channel-RNG position (randomized SoA-vs-scalar
+  properties live in ``tests/test_soa_kernels.py``);
 * golden records pin unit-disk capture, the input only the scalar loop runs;
 * a warm-store regression runs one experiment cold then warm through a
   ``ResultStore`` (the ``REPRO_BENCH_CACHE_DIR`` path of the benchmark
@@ -32,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import Frame, FrameKind
 from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel, message_observation
+from repro.topology.geometry import block_distances
 
 # Node layouts are drawn as integer grid offsets scaled down, which produces
 # plenty of exact-boundary and coincident-position cases (the interesting
@@ -60,16 +62,20 @@ def _split_roles(positions, data):
 
 
 def _observe_both(channel_factory, positions, listener_ids, transmissions, seed):
-    """Run the vectorized and the scalar kernel on the same round and RNG seed."""
+    """Run ``observe`` and the per-listener reference loop on the same round and RNG seed."""
     pos = np.asarray(positions, dtype=float) / 2.0
-    fast = channel_factory()
-    slow = channel_factory()
-    slow.use_vectorized_kernels = False
-    assert fast.use_vectorized_kernels  # class default
+    chan = channel_factory()
+    listeners = pos[listener_ids]
+    senders = pos[[t.sender for t in transmissions]]
     rng_fast = np.random.default_rng(seed)
     rng_slow = np.random.default_rng(seed)
-    obs_fast = fast.observe(listener_ids, pos[listener_ids], transmissions, rng_fast)
-    obs_slow = slow.observe(listener_ids, pos[listener_ids], transmissions, rng_slow)
+    obs_fast = chan.observe(listener_ids, listeners, transmissions, rng_fast)
+    if isinstance(chan, FriisChannel):
+        powers = chan.received_powers(listeners, senders)
+        obs_slow = chan._resolve_powers_scalar(powers, transmissions, rng_slow)
+    else:
+        audible = block_distances(listeners, senders, chan.norm) <= chan.radius + 1e-12
+        obs_slow = chan._resolve_audible_scalar(audible, transmissions, rng_slow)
     return obs_fast, obs_slow, rng_fast, rng_slow
 
 
@@ -123,7 +129,7 @@ class TestFriisKernelEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), positions=positions_strategy, seed=st.integers(0, 2**32 - 1))
     def test_link_state_round_matches_observe(self, data, positions, seed):
-        """The scalar loop's link-state path stays equivalent too."""
+        """The power block the SoA tier reads resolves like ``observe``."""
         listener_ids, transmissions = _split_roles(positions, data)
         pos = np.asarray(positions, dtype=float) / 2.0
         chan = FriisChannel(2.0, loss_probability=0.25)
@@ -131,7 +137,7 @@ class TestFriisKernelEquivalence:
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
         direct = chan.observe(listener_ids, pos[listener_ids], transmissions, rng_a)
-        via_links = chan.resolve_links(block, transmissions, rng_b)
+        via_links = chan._resolve_powers(block, transmissions, rng_b)
         assert direct == via_links
         assert rng_a.random() == rng_b.random()
 
@@ -152,17 +158,24 @@ class TestMessageObservationInterning:
 
 
 def _run_with_kernels(deployment, config, faults=None, *, vectorized: bool):
+    """One whole run: the default tiers, or the scalar loop on the reference loops."""
     from repro.sim.builder import build_simulation
     from repro.sim.engine import clear_link_cache
 
     clear_link_cache()  # the link cache is keyed by channel params, but keep runs isolated
-    sim = build_simulation(deployment, config, faults)
-    sim.channel.use_vectorized_kernels = vectorized
+    if vectorized:
+        return build_simulation(deployment, config, faults).run(4000)
+    sim = build_simulation(deployment, config, faults, use_soa_kernels=False)
+    chan = sim.channel
+    if isinstance(chan, FriisChannel):
+        chan._resolve_powers = chan._resolve_powers_scalar
+    else:
+        chan._resolve_audible = chan._resolve_audible_scalar
     return sim.run(4000)
 
 
 class TestEndToEndEquivalence:
-    """Whole runs with the vectorized kernels forced off must not move a bit."""
+    """Whole runs on the per-listener reference loops must not move a bit."""
 
     @pytest.mark.parametrize("channel,loss", [("unitdisk", 0.0), ("unitdisk", 0.2),
                                               ("friis", 0.0), ("friis", 0.2)])
@@ -389,7 +402,7 @@ class TestBruteForceLinkStateEquivalence:
             clear_link_cache()
             if reference:
                 use_brute_force_links()
-            sim = build_simulation(uniform_small_deployment, config)
+            sim = build_simulation(uniform_small_deployment, config, use_soa_kernels=True)
             record = sim.run(4000).to_record()
             results[reference] = (record, sim.rng.random())
         assert results[True][0] == results[False][0]
@@ -419,14 +432,12 @@ class TestBruteForceLinkStateEquivalence:
             clear_link_cache()
             if reference:
                 use_brute_force_links()
-            # Pinned to the scalar tier, whose every round resolves through
-            # the link state's submatrix (the SoA kernels read it once, at
-            # compile time).
-            sim = build_simulation(deployment, config, use_soa_kernels=False)
+            # Pinned to the SoA tier, the only reader of the link state.
+            sim = build_simulation(deployment, config, use_soa_kernels=True)
             result = sim.run(20000)
             serialized[reference] = (
                 json.dumps(result.to_record(), sort_keys=True, default=str),
                 sim.rng.random(),
             )
-            assert sim.plan_cache_info()["spatial_tiling"]["nnz"] < num_nodes * num_nodes
+            assert sim.plan_cache_info()["link_state"]["nnz"] < num_nodes * num_nodes
         assert serialized[True] == serialized[False]

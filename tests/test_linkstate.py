@@ -1,23 +1,24 @@
-"""The CSR link state against brute-force references.
+"""The link states the SoA kernels read, against brute-force references.
 
-Every channel keeps one link state at every node count
-(`repro.sim.linkstate`): positions plus a CSR neighborhood built per region
-tile by grid-bucketed queries.  These tests pin it against quadratic oracles
-that cannot share its bugs:
+Each channel builds exactly what its kernels read (`repro.sim.linkstate`):
+the grid-bucketed CSR audibility graph for unit disk, positions plus the
+exact power block for Friis.  These tests pin them against quadratic
+oracles that cannot share their bugs:
 
-* the CSR rows equal the ``pairwise_distances(...) <= range + 1e-12``
-  predicate, ascending, for both norms and for the Friis sense range;
-* ``submatrix`` equals the brute-force audibility predicate and the
-  closed-form Friis power, bit for bit;
-* ``resolve_links(link_state.submatrix(...))`` equals ``Channel.observe``,
+* the unit-disk CSR rows equal the ``pairwise_distances(...) <= radius +
+  1e-12`` predicate, ascending, for both norms;
+* the Friis ``submatrix`` equals the closed-form power, bit for bit;
+* a round resolved from the link state equals ``Channel.observe``,
   observations and RNG stream position alike;
 * the SoA tier's vectorized group adjacency equals the brute-force columns;
-* whole runs on the CSR state equal runs on :class:`BruteForceLinkState`
-  (``tests/conftest.py``), on both execution tiers;
-* the engine's link cache keys every parameter the state depends on.
+* whole runs on the built state equal runs on :class:`BruteForceLinkState`
+  (``tests/conftest.py``) and on the scalar loop, which builds no state;
+* the engine's link cache keys exactly the parameters each state reads.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -61,20 +62,10 @@ class TestCsrMatchesBruteForce:
         assert _csr_rows(state.indptr, state.indices) == _brute_rows(within)
         assert state.nnz == int(np.count_nonzero(within))
 
-    @settings(max_examples=40, deadline=None)
-    @given(positions=positions_strategy, reception=st.sampled_from([1.0, 2.0, 3.0]))
-    def test_friis_rows_cover_the_sense_range(self, positions, reception):
-        chan = FriisChannel(reception)
-        state = chan.link_state(positions)
-        within = pairwise_distances(positions, norm="l2") <= chan.sense_range + 1e-12
-        assert _csr_rows(state.indptr, state.indices) == _brute_rows(within)
-        assert state.interaction_radius == chan.sense_range
-
     def test_coincident_nodes_all_hear_each_other(self):
         state = UnitDiskChannel(1.0).link_state(np.zeros((5, 2)))
         assert _csr_rows(state.indptr, state.indices) == [list(range(5))] * 5
-        assert state.info()["interior_links"] == 20
-        assert state.info()["boundary_links"] == 0
+        assert state.info() == {"nnz": 25, "index_dtype": "int32"}
 
     def test_rows_are_ascending_at_scale(self):
         positions = np.random.default_rng(4).uniform(0, 40, size=(700, 2))
@@ -84,17 +75,6 @@ class TestCsrMatchesBruteForce:
 
 
 class TestSubmatrixMatchesBruteForce:
-    @pytest.mark.parametrize("norm", ["l2", "linf"])
-    def test_unitdisk_block_is_the_audibility_predicate(self, norm):
-        positions = np.random.default_rng(11).uniform(0, 15, size=(120, 2))
-        state = UnitDiskChannel(3.0, norm=norm).link_state(positions)
-        listeners = list(range(0, 120, 3))
-        senders = list(range(1, 120, 7))
-        expected = pairwise_distances(positions, norm=norm) <= 3.0 + 1e-12
-        assert np.array_equal(
-            state.submatrix(listeners, senders), expected[np.ix_(listeners, senders)]
-        )
-
     @pytest.mark.parametrize("exponent,reference", [(2.0, 1.0), (3.0, 0.5)])
     def test_friis_block_is_the_closed_form_power(self, exponent, reference):
         positions = np.random.default_rng(12).uniform(0, 15, size=(90, 2))
@@ -110,10 +90,19 @@ class TestSubmatrixMatchesBruteForce:
         )
 
 
-class TestResolveLinksMatchesObserve:
-    """The scalar loop's round path — ``resolve_links`` on the state's
-    submatrix — must reproduce ``observe`` on raw positions exactly,
-    observations and RNG consumption alike, for every channel."""
+class TestLinkStateRoundMatchesObserve:
+    """A round resolved from what the SoA kernels read — the unit-disk CSR
+    rows, the Friis ``submatrix`` — must reproduce ``observe`` on raw
+    positions exactly, observations and RNG consumption alike."""
+
+    @staticmethod
+    def _links_block(chan, state, listeners, senders):
+        if isinstance(chan, FriisChannel):
+            return chan._resolve_powers, state.submatrix(listeners, senders)
+        audible = np.zeros((len(listeners), len(senders)), dtype=bool)
+        for li, node in enumerate(listeners):
+            audible[li] = np.isin(senders, state.indices[state.indptr[node] : state.indptr[node + 1]])
+        return chan._resolve_audible, audible
 
     @pytest.mark.parametrize(
         "channel_factory",
@@ -142,9 +131,8 @@ class TestResolveLinksMatchesObserve:
             rng_direct = np.random.default_rng(trial)
             rng_links = np.random.default_rng(trial)
             direct = chan.observe(listeners, positions[listeners], transmissions, rng_direct)
-            block = chan.link_state(positions).submatrix(listeners, tx_ids)
-            via_links = chan.resolve_links(block, transmissions, rng_links)
-            assert via_links == direct
+            resolve, block = self._links_block(chan, chan.link_state(positions), listeners, tx_ids)
+            assert resolve(block, transmissions, rng_links) == direct
             assert rng_links.random() == rng_direct.random()
 
 
@@ -196,21 +184,26 @@ def deployment():
 
 
 class TestEngineLinkState:
-    @pytest.mark.parametrize(
-        "channel,norm", [("unitdisk", "l2"), ("unitdisk", "linf"), ("friis", "l2")]
-    )
-    def test_plan_cache_info_reports_the_csr_state(self, deployment, channel, norm):
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_plan_cache_info_reports_the_csr_state(self, deployment, norm):
         config = ScenarioConfig(
-            protocol="neighborwatch", radius=3.0, message_length=3, seed=11,
-            channel=channel, norm=norm,
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=11, norm=norm
         )
-        info = build_simulation(deployment, config).plan_cache_info()["spatial_tiling"]
-        assert info["tiles"] >= info["occupied_tiles"] > 1
-        assert info["nnz"] < 150 * 150
-        assert info["interior_links"] + info["boundary_links"] == info["nnz"] - 150
-        assert info["index_dtype"] == "int32"
+        sim = build_simulation(deployment, config, use_soa_kernels=True)
+        within = pairwise_distances(deployment.positions, norm=norm) <= 3.0 + 1e-12
+        assert sim.plan_cache_info()["link_state"] == {
+            "nnz": int(np.count_nonzero(within)),
+            "index_dtype": "int32",
+        }
 
-    @pytest.mark.parametrize("soa", [True, False], ids=["soa", "scalar"])
+    def test_friis_state_reports_nothing(self, deployment):
+        config = ScenarioConfig(
+            protocol="neighborwatch", radius=3.0, message_length=3, seed=11, channel="friis"
+        )
+        sim = build_simulation(deployment, config, use_soa_kernels=True)
+        assert isinstance(sim._link_state, FriisLinkState)
+        assert sim.plan_cache_info()["link_state"] == {}
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -222,49 +215,84 @@ class TestEngineLinkState:
         ],
         ids=["nw", "nw-friis-loss", "nw-capture", "multipath", "epidemic-loss"],
     )
-    def test_run_equals_brute_force_state(self, deployment, use_brute_force_links, overrides, soa):
+    def test_run_equals_brute_force_state(self, deployment, use_brute_force_links, overrides):
+        """SoA on the built state, SoA on the brute-force state and the
+        scalar loop (which reads no state) run identically."""
         config = ScenarioConfig(**{"radius": 3.0, "message_length": 3, "seed": 11, **overrides})
         runs = []
-        for reference in (False, True):
+        for soa, reference in ((True, False), (True, True), (False, True)):
             if reference:
                 use_brute_force_links()
             sim = build_simulation(deployment, config, use_soa_kernels=soa)
             runs.append((sim.run(2000).to_record(), sim.rng.random()))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
+
+
+#: One non-default value per constructor parameter of each channel.
+FRIIS_VARIANTS = {
+    "reception_range": 6.0,
+    "path_loss_exponent": 3.0,
+    "sense_range_factor": 2.0,
+    "capture_threshold_db": 3.0,
+    "noise_floor": 1e-6,
+    "loss_probability": 0.5,
+    "tx_power": 2.0,
+    "reference_distance": 0.5,
+}
+UNITDISK_VARIANTS = {
+    "radius": 4.0,
+    "norm": "linf",
+    "capture_probability": 0.5,
+    "loss_probability": 0.5,
+}
 
 
 class TestLinkCacheKey:
-    def test_friis_radius_gets_its_own_state(self, deployment):
-        """Two Friis channels that differ only in range must not share a
-        cached state (the signature once left the sense range out)."""
+    """The cache key must cover exactly the parameters a state reads: a
+    parameter left out lets two channels share a wrong state, one put in
+    needlessly splits the cache."""
+
+    def test_variants_cover_every_constructor_parameter(self):
+        assert set(inspect.signature(FriisChannel).parameters) == set(FRIIS_VARIANTS)
+        assert set(inspect.signature(UnitDiskChannel).parameters) == set(UNITDISK_VARIANTS)
+
+    @pytest.mark.parametrize("param", sorted(FRIIS_VARIANTS))
+    def test_friis_signature_covers_what_the_state_reads(self, param):
+        positions = np.random.default_rng(2).uniform(0, 10, size=(30, 2))
+        ids = np.arange(30)
+        base = FriisChannel(3.0)
+        kwargs = {"reception_range": 3.0, param: FRIIS_VARIANTS[param]}
+        variant = FriisChannel(kwargs.pop("reception_range"), **kwargs)
+        same_state = np.array_equal(
+            base.link_state(positions).submatrix(ids, ids),
+            variant.link_state(positions).submatrix(ids, ids),
+        )
+        assert (base.link_signature() == variant.link_signature()) == same_state
+
+    @pytest.mark.parametrize("param", sorted(UNITDISK_VARIANTS))
+    def test_unitdisk_signature_covers_what_the_state_reads(self, param):
+        positions = np.random.default_rng(2).uniform(0, 10, size=(60, 2))
+        base = UnitDiskChannel(3.0).link_state(positions)
+        kwargs = {"radius": 3.0, param: UNITDISK_VARIANTS[param]}
+        channel = UnitDiskChannel(kwargs.pop("radius"), **kwargs)
+        variant = channel.link_state(positions)
+        same_state = np.array_equal(base.indptr, variant.indptr) and np.array_equal(
+            base.indices, variant.indices
+        )
+        assert (UnitDiskChannel(3.0).link_signature() == channel.link_signature()) == same_state
+
+    def test_friis_ranges_share_one_state(self, deployment):
+        """Reception and sense range never enter the power block, so runs at
+        two radii over one deployment build the Friis state once."""
         clear_link_cache()
-        states = {}
+        states = []
         for radius in (3.0, 6.0):
             config = ScenarioConfig(
                 protocol="epidemic", radius=radius, message_length=2, seed=1, channel="friis"
             )
-            states[radius] = build_simulation(deployment, config)._link_state
-        assert link_cache_info()["misses"] == 2
-        assert states[3.0].interaction_radius == 4.5
-        assert states[6.0].interaction_radius == 9.0
-        assert states[6.0].nnz > states[3.0].nnz
-
-    def test_signatures_distinguish_every_parameter(self):
-        assert UnitDiskChannel(3.0).link_signature() != UnitDiskChannel(4.0).link_signature()
-        assert (
-            UnitDiskChannel(3.0).link_signature()
-            != UnitDiskChannel(3.0, norm="linf").link_signature()
-        )
-        assert FriisChannel(3.0).link_signature() != FriisChannel(6.0).link_signature()
-        assert (
-            FriisChannel(3.0).link_signature()
-            != FriisChannel(3.0, sense_range_factor=2.0).link_signature()
-        )
-        # Parameters the state does not depend on share it.
-        assert (
-            FriisChannel(3.0).link_signature()
-            == FriisChannel(3.0, loss_probability=0.5).link_signature()
-        )
+            states.append(build_simulation(deployment, config, use_soa_kernels=True)._link_state)
+        assert link_cache_info()["misses"] == 1 and link_cache_info()["hits"] == 1
+        assert states[0] is states[1]
 
 
 class TestCsrIndexDtype:

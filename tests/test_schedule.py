@@ -247,13 +247,6 @@ class TestNeighborSlotTable:
             expected = sorted({0} | {int(sched.slot_of_node(int(nb))) for nb in nearby})
             assert sched.neighbor_slots_of_node(node) == expected
 
-    def test_custom_radius_gets_its_own_table(self):
-        dep = uniform_deployment(30, 8, 8, rng=4)
-        sched = NodeSchedule(dep.positions, 2.0, dep.source_index)
-        wide = sched.neighbor_slots_of_node(0, listen_radius=6.0)
-        narrow = sched.neighbor_slots_of_node(0, listen_radius=2.0)
-        assert set(narrow) <= set(wide)
-
     def test_returned_lists_are_copies(self):
         dep = uniform_deployment(20, 8, 8, rng=3)
         sched = NodeSchedule(dep.positions, 3.0, dep.source_index)
@@ -311,14 +304,6 @@ class TestGreedyColouringReference:
             _reference_neighbor_slots(sched.positions, slots, 2.0, norm)
         )
         assert sched.num_slots == max(slots) + 1
-
-    def test_listen_radius_override_matches_brute_force(self):
-        dep = uniform_deployment(150, 12, 12, rng=3)
-        sched = NodeSchedule(dep.positions, 2.0, dep.source_index)
-        slots = [sched.slot_of_node(i) for i in range(150)]
-        table = _reference_neighbor_slots(sched.positions, slots, 5.0)
-        for node in (0, 7, 149):
-            assert sched.neighbor_slots_of_node(node, 5.0) == table[node]
 
     def test_zero_separation_keeps_only_coincident_conflicts(self):
         positions = np.asarray([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0)])
