@@ -32,8 +32,9 @@ bench-baseline:
 # then check exports are byte-identical between the SoA kernels and the
 # scalar oracle (REPRO_SOA_KERNELS=1 vs =0) — FIG5 for the unit-disk
 # disjunction kernels, JAM for the scalar loop's round resolver (its jammer
-# slot occurrences fall back to it even with the kernels on), the Friis
-# smoke spec for the power-sum (+ loss) kernels.
+# slot occurrences fall back to it even with the kernels on), EPID for the
+# epidemic flood (its listening table and link state are one graph), the
+# Friis smoke spec for the power-sum (+ loss) kernels.
 bench-smoke:
 	$(PYTHON) benchmarks/capture.py --check BENCH_$(PR).json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run FIG5 --scale small --export json > /tmp/soa.json
@@ -42,10 +43,13 @@ bench-smoke:
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run JAM --scale small --export json > /tmp/jam-nosoa.json
 	cmp /tmp/jam-soa.json /tmp/jam-nosoa.json
+	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-soa.json
+	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run EPID --scale small --export json > /tmp/epid-nosoa.json
+	cmp /tmp/epid-soa.json /tmp/epid-nosoa.json
 	REPRO_SOA_KERNELS=1 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-soa.json
 	REPRO_SOA_KERNELS=0 $(PYTHON) -m repro.experiments run --spec examples/specs/friis_smoke.toml --export json > /tmp/friis-nosoa.json
 	cmp /tmp/friis-soa.json /tmp/friis-nosoa.json
-	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/jam-soa.json /tmp/jam-nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json
+	rm -f /tmp/soa.json /tmp/nosoa.json /tmp/jam-soa.json /tmp/jam-nosoa.json /tmp/epid-soa.json /tmp/epid-nosoa.json /tmp/friis-soa.json /tmp/friis-nosoa.json
 
 # CI smoke for the fault-tolerant fabric: the focused chaos/integrity test
 # files, then a seeded chaos-backend run that must export byte-identical

@@ -38,6 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..registry import ProtocolPlugin, register_protocol
+from ..topology.grid import SLACK
 from .messages import Bits, Frame, FrameKind, validate_bits
 from .onehop import OneHopReceiver, OneHopSender
 from .protocol import NodeContext, Observation, Protocol
@@ -158,7 +159,7 @@ class NeighborWatchNode(Protocol):
         # paper's assumption that slot 0 is known to belong to the source.
         src_pos = schedule.positions[schedule.source_index]
         my_pos = np.asarray(context.position, dtype=float)
-        if self._schedule_norm_distance(my_pos, src_pos) <= context.radius + 1e-12:
+        if self._schedule_norm_distance(my_pos, src_pos) <= context.radius + SLACK:
             self._receivers[SOURCE_SLOT] = OneHopReceiver(expected_length=k)
 
     def _schedule_norm_distance(self, a: np.ndarray, b: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..topology.geometry import as_positions
-from ..topology.grid import GridBuckets
+from ..topology.grid import GridBuckets, NeighborGraph
 from .regions import SquareGrid, SquareId
 
 __all__ = [
@@ -53,7 +53,13 @@ PHASES_PER_SLOT = 6
 SOURCE_SLOT = 0
 
 class Schedule(abc.ABC):
-    """Common round/slot arithmetic for TDMA schedules."""
+    """Common round/slot arithmetic for TDMA schedules.
+
+    Subclasses set ``positions``, the ``(N, 2)`` array of device locations
+    the schedule was computed from, before calling this constructor.
+    """
+
+    positions: np.ndarray
 
     def __init__(self, num_slots: int, phases_per_slot: int = PHASES_PER_SLOT) -> None:
         if num_slots < 1:
@@ -62,6 +68,19 @@ class Schedule(abc.ABC):
             raise ValueError("phases_per_slot must be >= 1")
         self.num_slots = int(num_slots)
         self.phases_per_slot = int(phases_per_slot)
+        self._graphs: dict[tuple[float, str], NeighborGraph] = {}
+
+    def neighbor_graph(self, radius: float, norm: str) -> NeighborGraph:
+        """The range-``radius`` graph of :attr:`positions`, built once per ``(radius, norm)``.
+
+        The listening table, :meth:`NodeSchedule.owner_in_neighborhood` and
+        the unit-disk link state all read this one object.
+        """
+        key = (float(radius), norm)
+        graph = self._graphs.get(key)
+        if graph is None:
+            graph = self._graphs[key] = NeighborGraph(self.positions, radius, norm)
+        return graph
 
     # -- round arithmetic -------------------------------------------------------
     @property
@@ -268,8 +287,14 @@ class NodeSchedule(Schedule):
 
         slots = np.zeros(n, dtype=int)
         if n > 1:
-            # Grid-bucketed conflict neighborhoods, ascending in node id.
-            neighbors_of = self._neighborhoods(self.separation, include_self=False)
+            # Grid-bucketed conflict neighborhoods at exactly the separation,
+            # ascending in node id.  Any positive cell size is correct; a
+            # non-positive separation keeps only coincident nodes, and the
+            # radius is a fine cell for that.
+            buckets = GridBuckets(
+                self.positions, cell_size=self.separation if self.separation > 0 else self.radius
+            )
+            indptr, indices = buckets.neighbor_arrays(self.separation, norm, include_self=False)
             source = self.source_index
             for node in range(n):
                 if node == source:
@@ -279,7 +304,7 @@ class NodeSchedule(Schedule):
                 # (ids below ours, plus the pre-assigned source).  The mask
                 # arithmetic replaces a per-neighbor Python loop but assigns
                 # exactly the same slots.
-                neighbors = neighbors_of(node)
+                neighbors = indices[indptr[node] : indptr[node + 1]]
                 decided = neighbors[(neighbors < node) | (neighbors == source)]
                 used = set(slots[decided].tolist())
                 used.add(SOURCE_SLOT)
@@ -298,22 +323,6 @@ class NodeSchedule(Schedule):
         }
         self._neighbor_slot_table: list[list[int]] | None = None
 
-    def _neighborhoods(self, threshold: float, *, include_self: bool):
-        """Per-node neighbor ids at ``threshold`` from grid-bucketed queries.
-
-        Returns a callable ``node -> ascending neighbor id array``, read off
-        :class:`~repro.topology.grid.GridBuckets` CSR arrays built without
-        materializing anything quadratic.  The distance predicate is
-        :func:`~repro.topology.geometry.block_distances`, the function
-        :func:`~repro.topology.geometry.pairwise_distances` calls, so the sets
-        equal the brute-force ``distance <= threshold`` ones exactly.
-        """
-        # Any positive cell size is correct; a non-positive threshold keeps
-        # only coincident nodes, and the radius is a fine cell for that.
-        buckets = GridBuckets(self.positions, cell_size=threshold if threshold > 0 else self.radius)
-        indptr, indices = buckets.neighbor_arrays(threshold, self.norm, include_self=include_self)
-        return lambda node: indices[indptr[node] : indptr[node + 1]]
-
     # -- Schedule interface ---------------------------------------------------------
     def slot_of_node(self, node_id: int) -> int:
         return int(self._slots[node_id])
@@ -325,17 +334,16 @@ class NodeSchedule(Schedule):
         """Slots of devices within communication range of ``node_id`` (plus the source slot).
 
         Every device queries this during protocol setup, so the answers are
-        computed for all nodes in one pass (see :meth:`_neighborhoods`) and
+        computed for all nodes in one pass over :meth:`neighbor_graph` and
         cached; subsequent calls are a list copy.
         """
         table = self._neighbor_slot_table
         if table is None:
-            neighbors_of = self._neighborhoods(self.radius, include_self=True)
+            graph = self.neighbor_graph(self.radius, self.norm)
             slots = self._slots
             table = []
             for node in range(self.positions.shape[0]):
-                nearby = neighbors_of(node)
-                node_slots = set(slots[nearby].tolist())
+                node_slots = set(slots[graph.neighbors(node)].tolist())
                 node_slots.add(SOURCE_SLOT)
                 table.append(sorted(node_slots))
             self._neighbor_slot_table = table
@@ -348,15 +356,6 @@ class NodeSchedule(Schedule):
         plus the schedule identify the sender's location, because the schedule
         never reuses a slot within ``separation`` of the listener.
         """
-        candidates = []
-        pos = self.positions
-        for owner in self.owners_of_slot(slot):
-            if self.norm == "linf":
-                d = float(np.max(np.abs(pos[owner] - pos[node_id])))
-            else:
-                d = float(np.sqrt(np.sum((pos[owner] - pos[node_id]) ** 2)))
-            if d <= self.radius:
-                candidates.append(owner)
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
+        nearby = self.neighbor_graph(self.radius, self.norm).neighbors(node_id)
+        owners = nearby[self._slots[nearby] == slot]
+        return int(owners[0]) if owners.size == 1 else None

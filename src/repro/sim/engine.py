@@ -49,11 +49,14 @@ Round resolution and link state
 -------------------------------
 The scalar loop resolves each round one way: the round memo, then
 :meth:`~repro.sim.radio.Channel.observe` on the listeners' positions.  Only
-the SoA tier reads a link state (:mod:`repro.sim.linkstate`: the CSR
-audibility graph for unit disk, positions plus the exact power block for
-Friis), so it is built only when that tier is on for an eligible channel.
-It is cached per ``(channel, positions)`` pair in a small module-level LRU,
-so repeated simulations over the same deployment reuse it.
+the SoA tier reads a link state (:mod:`repro.sim.linkstate`), so it is
+fetched only when that tier is on for an eligible channel and a first slot
+group compiles.  :meth:`~repro.sim.radio.Channel.link_state` reads it off the
+schedule — for unit disk, the schedule's own radius graph, which a node
+schedule's listening table has already built — so a simulation rejects a
+schedule computed from other positions than its nodes'.  The state is
+cached per ``(channel, positions)`` pair in a small module-level LRU, so
+repeated simulations over the same deployment reuse it.
 
 The RNG contract is strict: stochastic channel configurations bypass the
 round memo entirely and consume the generator exactly as the scalar reference
@@ -147,14 +150,15 @@ def clear_link_cache() -> None:
     _LINK_CACHE_MISSES = 0
 
 
-def _cached_link_state(channel: Channel, positions: np.ndarray):
-    """The channel's link state for ``positions``, via the module-level cache."""
+def _cached_link_state(channel: Channel, schedule: Schedule):
+    """The channel's link state over the schedule's positions, via the module-level cache."""
     global _LINK_CACHE_HITS, _LINK_CACHE_MISSES
+    positions = schedule.positions
     key = (channel.link_signature(), positions.shape, positions.tobytes())
     cached = _LINK_CACHE.get(key)
     if cached is None:
         _LINK_CACHE_MISSES += 1
-        cached = channel.link_state(positions)
+        cached = channel.link_state(schedule)
         _LINK_CACHE[key] = cached
         while len(_LINK_CACHE) > _LINK_CACHE_MAX_ENTRIES:
             _LINK_CACHE.popitem(last=False)
@@ -173,7 +177,7 @@ class Simulation:
         All devices (honest, Byzantine and crashed).  Node ids must equal the
         index of the device in this sequence.
     schedule:
-        The TDMA schedule shared by every device.
+        The TDMA schedule shared by every device, computed from their positions.
     channel:
         Channel model used to resolve per-round observations.
     message:
@@ -219,6 +223,8 @@ class Simulation:
         self.round_index = 0
 
         self._positions = np.asarray([n.position for n in self.nodes], dtype=float)
+        if not np.array_equal(schedule.positions, self._positions):
+            raise ValueError("the schedule was computed from other positions than the nodes'")
         self.plan = SlotPlan(self.nodes, schedule)
         # Whole-round memoization is only sound when resolving a round cannot
         # consume RNG (otherwise replaying a cached round would desynchronise
@@ -226,23 +232,21 @@ class Simulation:
         self._memo_rounds = not channel.consumes_rng()
         # The SoA tier compiles whole slots into bitmask kernels.  It reads
         # channel structure from the link state — the only reader, so the
-        # state is built here and nowhere else — and needs a channel whose
-        # per-capability verdict (soa_round_support) is fully eligible:
-        # disjunction or power-sum busy, with loss draws batchable in
-        # listener order (unit-disk capture draws are data-dependent and
+        # state is fetched when its first slot compiles — and needs a
+        # channel whose per-capability verdict (soa_round_support) is fully
+        # eligible: disjunction or power-sum busy, with loss draws batchable
+        # in listener order (unit-disk capture draws are data-dependent and
         # stay scalar).  Traced runs compile too — the kernels synthesize
         # the event stream from the packed masks.
         if use_soa_kernels is None:
             use_soa_kernels = default_soa_kernels()
         self.use_soa_kernels = bool(use_soa_kernels)
-        self._link_state = None
         self.soa_runtime: Optional[SoaRuntime] = None
         if self.use_soa_kernels and channel.supports_soa_rounds():
-            self._link_state = _cached_link_state(channel, self._positions)
             runtime = SoaRuntime(
                 self.nodes,
                 self.plan,
-                self._link_state,
+                lambda: _cached_link_state(channel, schedule),
                 schedule.phases_per_slot,
                 channel=channel,
                 rng=self.rng,
@@ -274,12 +278,13 @@ class Simulation:
         * ``"link_state"`` — what the built link state reports: ``{"nnz",
           "index_dtype"}`` (the CSR size, self links included, and its index
           dtype) for unit disk; ``{}`` for Friis, whose state stores no
-          links, and when no state was built (SoA tier off or ineligible).
+          links, and when no state was fetched (SoA tier off or
+          ineligible, or no slot compiled).
         """
         info = self.plan.cache_info()
         soa = self.soa_runtime
         info["soa_kernels"] = soa.info() if soa is not None else {"enabled": False}
-        state = self._link_state
+        state = getattr(soa, "link_state", None)
         info["link_state"] = state.info() if hasattr(state, "info") else {}
         return info
 

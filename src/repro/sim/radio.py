@@ -26,11 +26,12 @@ Link state
 ----------
 For a static deployment the pairwise quantity a channel derives from node
 positions never changes during a run, so the struct-of-arrays kernels
-(:mod:`repro.sim.soa`) compile against :meth:`Channel.link_state`, built once
-per deployment: the CSR audibility graph for the unit-disk model, and
-positions plus the same power-block function for Friis
-(:mod:`repro.sim.linkstate`).  Because the state and :meth:`Channel.observe`
-call the same functions, the two agree bit for bit by construction.
+(:mod:`repro.sim.soa`) compile against :meth:`Channel.link_state`, read off
+the schedule (:mod:`repro.sim.linkstate`): the schedule's own
+:class:`~repro.topology.grid.NeighborGraph` for the unit-disk model, and
+positions plus the same power-block function for Friis.  Because the state
+and :meth:`Channel.observe` share the range predicate and the power-block
+function, the two agree bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from ..core.messages import Frame
 from ..core.protocol import ChannelState, Observation, SILENCE
 from ..registry import ChannelPlugin, register_channel
 from ..topology.geometry import block_distances
-from .linkstate import FriisLinkState, UnitDiskLinkState
+from ..topology.grid import SLACK, NeighborGraph
+from .linkstate import FriisLinkState
 
 __all__ = [
     "Transmission",
@@ -153,11 +155,11 @@ class Channel(abc.ABC):
         """
 
     @abc.abstractmethod
-    def link_state(self, positions: np.ndarray):
+    def link_state(self, schedule):
         """The link state the SoA kernels compile against, for a static deployment.
 
-        ``positions`` is the ``(N, 2)`` array of all node positions; see
-        :mod:`repro.sim.linkstate` for the shape each channel builds.
+        ``schedule`` is the run's schedule, whose ``positions`` locate every
+        node; see :mod:`repro.sim.linkstate` for what each channel returns.
         """
 
     def consumes_rng(self) -> bool:
@@ -247,13 +249,14 @@ class UnitDiskChannel(Channel):
     def link_signature(self) -> tuple:
         return ("unitdisk", self.radius, self.norm)
 
-    def link_state(self, positions: np.ndarray) -> UnitDiskLinkState:
-        """CSR audibility out to the radius.
+    def link_state(self, schedule) -> NeighborGraph:
+        """The schedule's range-``radius`` graph: CSR audibility, self included.
 
         Unit-disk audibility beyond the radius is exactly ``False``, so the
-        CSR stores the complete physics — no truncation is involved.
+        CSR stores the complete physics.  A run whose listening table already
+        built the graph adopts that same object.
         """
-        return UnitDiskLinkState(positions, self.radius, self.norm)
+        return schedule.neighbor_graph(self.radius, self.norm)
 
     def soa_round_support(self) -> SoaRoundSupport:
         """Unit-disk rounds lower to disjunction kernels; capture stays scalar.
@@ -392,7 +395,7 @@ class UnitDiskChannel(Channel):
 
         tx_pos = np.asarray([t.position for t in transmissions], dtype=float)
         listeners = np.asarray(listener_positions, dtype=float).reshape(num_listeners, 2)
-        audible = block_distances(listeners, tx_pos, self.norm) <= self.radius + 1e-12
+        audible = block_distances(listeners, tx_pos, self.norm) <= self.radius + SLACK
         return self._resolve_audible(audible, transmissions, rng)
 
 
@@ -468,13 +471,13 @@ class FriisChannel(Channel):
     def link_signature(self) -> tuple:
         return ("friis", self.path_loss_exponent, self.tx_power, self.reference_distance)
 
-    def link_state(self, positions: np.ndarray) -> FriisLinkState:
-        """Positions + :meth:`received_powers`; every block is exact.
+    def link_state(self, schedule) -> FriisLinkState:
+        """The schedule's positions + :meth:`received_powers`; every block is exact.
 
         Every sender's power reaches every listener's interference sum, so
         nothing is truncated however sparse the topology is.
         """
-        return FriisLinkState(positions, self.received_powers)
+        return FriisLinkState(schedule.positions, self.received_powers)
 
     def observe(
         self,

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -588,19 +588,22 @@ class SoaRuntime:
     CSR adjacency out of the link state's global CSR, ``"power-sum"`` builds
     a lazy member×member power-column cache (:class:`_PowerColumns`) — and
     carries the loss probability; ``rng`` is the simulation generator the
-    loss draws are burned from.
+    loss draws are burned from.  ``build_link_state`` is called once, when
+    the first slot compiles; ``link_state`` stays ``None`` when none does.
     """
 
     def __init__(
         self,
         nodes: Sequence[SimNode],
         plan: SlotPlan,
-        link_state,
+        build_link_state: Callable[[], object],
         phases_per_slot: int,
         *,
         channel,
         rng: np.random.Generator,
     ) -> None:
+        self._build_link_state = build_link_state
+        self.link_state = None
         support = channel.soa_round_support()
         self.busy_mode = support.busy
         self.loss = float(support.loss_probability)
@@ -636,7 +639,6 @@ class SoaRuntime:
                 slot,
                 records,
                 plan.participant_arrays[slot],
-                link_state,
                 phases_per_slot,
             )
             if group is not None:
@@ -649,7 +651,6 @@ class SoaRuntime:
         slot: int,
         records: tuple,
         member_ids: np.ndarray,
-        link_state,
         phases_per_slot: int,
     ) -> Optional[_SlotGroup]:
         first = records[0][REC_NODE].protocol
@@ -715,6 +716,9 @@ class SoaRuntime:
         n = len(records)
         if n > 1 and np.any(np.diff(member_ids) <= 0):
             return None
+        link_state = self.link_state
+        if link_state is None:
+            link_state = self.link_state = self._build_link_state()
         if self.busy_mode == "power-sum":
             power = _PowerColumns(member_ids, link_state)
             adjacency = (None, None)

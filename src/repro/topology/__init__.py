@@ -9,12 +9,10 @@ from .geometry import (
     l2_distance,
     linf_diameter_hops,
     linf_distance,
-    neighborhood_counts,
-    neighborhood_matrix,
     neighbors_within,
     pairwise_distances,
 )
-from .grid import GridSpec, GridTopology, grid_index_of, grid_positions
+from .grid import GridSpec, GridTopology, NeighborGraph, grid_index_of, grid_positions
 from .deployment import (
     Deployment,
     clustered_deployment,
@@ -25,7 +23,6 @@ from .deployment import (
 )
 from .connectivity import (
     ConnectivityReport,
-    communication_graph,
     connectivity_report,
     hop_counts_from,
     is_connected_to,
@@ -41,12 +38,11 @@ __all__ = [
     "l2_distance",
     "linf_diameter_hops",
     "linf_distance",
-    "neighborhood_counts",
-    "neighborhood_matrix",
     "neighbors_within",
     "pairwise_distances",
     "GridSpec",
     "GridTopology",
+    "NeighborGraph",
     "grid_index_of",
     "grid_positions",
     "Deployment",
@@ -56,7 +52,6 @@ __all__ = [
     "marsaglia_normal_pairs",
     "uniform_deployment",
     "ConnectivityReport",
-    "communication_graph",
     "connectivity_report",
     "hop_counts_from",
     "is_connected_to",

@@ -6,19 +6,24 @@ NeighborWatchRB completes as long as the network remains connected, the
 and MultiPathRB needs ``t + 1`` node-disjoint paths within single
 neighborhoods.  These helpers compute the relevant graph quantities so the
 experiments and tests can check them explicitly.
+
+Everything is computed on the sparse radio graph — the
+:class:`~repro.topology.grid.NeighborGraph` CSR that the schedules and the
+unit-disk link state read, under the same range predicate — with
+:mod:`scipy.sparse.csgraph`, so no ``N x N`` matrix is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .geometry import neighborhood_matrix
+from .grid import NeighborGraph
 
 __all__ = [
-    "communication_graph",
     "is_connected_to",
     "reachable_fraction",
     "hop_counts_from",
@@ -27,44 +32,27 @@ __all__ = [
 ]
 
 
-def communication_graph(positions: np.ndarray, radius: float, norm: str = "l2") -> nx.Graph:
-    """Build the radio communication graph as a :class:`networkx.Graph`."""
-    adj = neighborhood_matrix(positions, radius, norm=norm)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(adj.shape[0]))
-    edges = np.argwhere(np.triu(adj, k=1))
-    graph.add_edges_from((int(a), int(b)) for a, b in edges)
-    return graph
+def _csgraph(graph: NeighborGraph) -> csr_array:
+    n = graph.num_nodes
+    return csr_array((np.ones(graph.nnz, dtype=np.int8), graph.indices, graph.indptr), shape=(n, n))
+
+
+def _hops(graph: NeighborGraph, source: int) -> np.ndarray:
+    n = graph.num_nodes
+    if not (0 <= source < n):
+        raise ValueError("source index out of range")
+    dist = shortest_path(_csgraph(graph), directed=False, unweighted=True, indices=source)
+    reachable = np.isfinite(dist)
+    hops = np.full(n, -1, dtype=int)
+    hops[reachable] = dist[reachable]
+    return hops
 
 
 def hop_counts_from(
     positions: np.ndarray, radius: float, source: int, norm: str = "l2"
 ) -> np.ndarray:
-    """BFS hop distance from ``source`` to every node (``-1`` if unreachable).
-
-    Implemented directly on the boolean adjacency matrix with NumPy frontier
-    expansion, which is considerably faster than generic graph libraries for
-    the dense radio graphs the experiments use.
-    """
-    adj = neighborhood_matrix(positions, radius, norm=norm)
-    n = adj.shape[0]
-    if not (0 <= source < n):
-        raise ValueError("source index out of range")
-    hops = np.full(n, -1, dtype=int)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    hops[source] = 0
-    level = 0
-    visited = frontier.copy()
-    while frontier.any():
-        level += 1
-        nxt = adj[frontier].any(axis=0) & ~visited
-        if not nxt.any():
-            break
-        hops[nxt] = level
-        visited |= nxt
-        frontier = nxt
-    return hops
+    """BFS hop distance from ``source`` to every node (``-1`` if unreachable)."""
+    return _hops(NeighborGraph(positions, radius, norm), source)
 
 
 def is_connected_to(positions: np.ndarray, radius: float, source: int, norm: str = "l2") -> np.ndarray:
@@ -98,20 +86,19 @@ class ConnectivityReport:
 def connectivity_report(
     positions: np.ndarray, radius: float, source: int, norm: str = "l2"
 ) -> ConnectivityReport:
-    """Compute a :class:`ConnectivityReport` for a deployment."""
-    adj = neighborhood_matrix(positions, radius, norm=norm)
-    degrees = adj.sum(axis=1)
-    graph = communication_graph(positions, radius, norm=norm)
-    components = list(nx.connected_components(graph))
-    largest = max((len(c) for c in components), default=0)
-    hops = hop_counts_from(positions, radius, source, norm=norm)
+    """Compute a :class:`ConnectivityReport` for a deployment (one graph build)."""
+    graph = NeighborGraph(positions, radius, norm)
+    n = graph.num_nodes
+    degrees = graph.degrees()
+    num_components, labels = connected_components(_csgraph(graph), directed=False)
+    hops = _hops(graph, source)
     reachable = hops >= 0
     return ConnectivityReport(
-        num_nodes=int(adj.shape[0]),
-        num_components=len(components),
-        largest_component_fraction=largest / adj.shape[0] if adj.shape[0] else 0.0,
-        reachable_from_source=float(reachable.sum()) / adj.shape[0],
-        mean_degree=float(degrees.mean()) if adj.shape[0] else 0.0,
-        min_degree=int(degrees.min()) if adj.shape[0] else 0,
-        diameter_hops_from_source=int(hops[reachable].max()) if reachable.any() else 0,
+        num_nodes=n,
+        num_components=int(num_components),
+        largest_component_fraction=int(np.bincount(labels).max()) / n,
+        reachable_from_source=float(reachable.sum()) / n,
+        mean_degree=float(degrees.mean()),
+        min_degree=int(degrees.min()),
+        diameter_hops_from_source=int(hops[reachable].max()),
     )

@@ -28,8 +28,6 @@ __all__ = [
     "block_distances",
     "pairwise_distances",
     "neighbors_within",
-    "neighborhood_matrix",
-    "neighborhood_counts",
     "bounding_box",
     "fits_in_common_neighborhood",
     "linf_diameter_hops",
@@ -144,22 +142,6 @@ def neighbors_within(
     if strict:
         return np.nonzero(d < radius)[0]
     return np.nonzero(d <= radius)[0]
-
-
-def neighborhood_matrix(
-    positions: np.ndarray, radius: float, norm: str = "linf", include_self: bool = False
-) -> np.ndarray:
-    """Boolean ``(N, N)`` adjacency matrix of the radio neighborhood graph."""
-    dist = pairwise_distances(positions, norm=norm)
-    adj = dist <= radius
-    if not include_self:
-        np.fill_diagonal(adj, False)
-    return adj
-
-
-def neighborhood_counts(positions: np.ndarray, radius: float, norm: str = "linf") -> np.ndarray:
-    """Number of neighbors of every node (excluding itself)."""
-    return neighborhood_matrix(positions, radius, norm=norm).sum(axis=1)
 
 
 def bounding_box(positions: np.ndarray) -> tuple[float, float, float, float]:

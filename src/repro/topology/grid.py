@@ -12,8 +12,12 @@ building CSR neighbor structures without ever touching an ``N x N`` matrix.
 Its results are *exact* — candidate pairs are over-collected from surrounding
 cells and then filtered with :func:`~repro.topology.geometry.block_distances`,
 the same function the dense code paths call, so the returned neighbor sets
-(and therefore everything built on top of them: link states, schedules) are
-bit-identical to the brute-force computation.
+are bit-identical to the brute-force computation.
+
+:class:`NeighborGraph` is the one neighbourhood type: "who is within ``R`` of
+whom" as a CSR, under the one range predicate ``distance <= radius + SLACK``.
+A schedule builds it once per ``(radius, norm)``, and its listening table,
+the unit-disk link state and :mod:`repro.topology.connectivity` all read it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,15 @@ import numpy as np
 
 from .geometry import block_distances
 
-__all__ = ["GridSpec", "grid_positions", "grid_index_of", "GridTopology", "GridBuckets"]
+__all__ = [
+    "SLACK", "GridSpec", "grid_positions", "grid_index_of", "GridTopology", "GridBuckets",
+    "NeighborGraph",
+]
+
+#: Slack of the one range predicate ``distance <= radius + SLACK``: a distance
+#: over the radius only by rounding (``0.1 + 0.2`` against ``0.3``) is in range.
+#: :class:`NeighborGraph` and ``UnitDiskChannel.observe`` both apply it.
+SLACK = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,13 +267,62 @@ class GridBuckets:
                 mask[np.arange(members.size), own_col] = False
             for local, node in enumerate(members):
                 rows_of[int(node)] = candidates[mask[local]]
+        # Every node sits in exactly one cell, so every row is filled.
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n):
-            row_ids = rows_of[i]
-            indptr[i + 1] = indptr[i] + (row_ids.size if row_ids is not None else 0)
-        if n and indptr[-1]:
-            indices = np.concatenate([r for r in rows_of if r is not None and r.size])
-        else:
-            indices = np.empty(0, dtype=np.intp)
-        indices = indices.astype(np.intp, copy=False)
-        return indptr, indices
+        np.cumsum([row_ids.size for row_ids in rows_of], out=indptr[1:])
+        indices = np.concatenate(rows_of) if n else np.empty(0, dtype=np.intp)
+        return indptr, indices.astype(np.intp, copy=False)
+
+
+def _index_dtype(num_nodes: int, nnz: int) -> np.dtype:
+    """Smallest safe integer dtype for the CSR ``indptr``/``indices`` arrays.
+
+    When node ids and offsets both fit in int32 the pair is halved (at 10^5
+    nodes it is the dominant live allocation); every consumer is
+    dtype-agnostic.  Beyond 2^31 - 1 links it falls back to int64.
+    """
+    limit = np.iinfo(np.int32).max
+    if num_nodes <= limit and nnz <= limit:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+class NeighborGraph:
+    """CSR graph of the pairs within ``radius`` of each other under ``norm``.
+
+    Row ``i`` (:meth:`neighbors`, ascending) lists every node ``j`` with
+    ``distance(i, j) <= radius + SLACK``, node ``i`` itself included, built
+    with :class:`GridBuckets` in ``O(N * neighborhood)`` memory.
+    """
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, positions: np.ndarray, radius: float, norm: str = "l2") -> None:
+        buckets = GridBuckets(positions, cell_size=radius)
+        indptr, indices = buckets.neighbor_arrays(radius + SLACK, norm, include_self=True)
+        # Downcast the CSR pair to int32 when safe — the values are identical,
+        # only the storage shrinks.
+        dtype = _index_dtype(buckets.positions.shape[0], int(indices.size))
+        self.indptr = indptr.astype(dtype, copy=False)
+        self.indices = indices.astype(dtype, copy=False)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def nnz(self) -> int:
+        """Stored links, including the self-link of every node."""
+        return int(self.indices.size)
+
+    def neighbors(self, node: int) -> np.ndarray:
+        """Ids in range of ``node``, ascending, ``node`` itself included."""
+        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+
+    def degrees(self) -> np.ndarray:
+        """Number of neighbors of every node, itself excluded."""
+        return np.diff(self.indptr) - 1
+
+    def info(self) -> dict:
+        """The CSR size (self links included) and its index dtype."""
+        return {"nnz": self.nnz, "index_dtype": str(self.indices.dtype)}

@@ -34,7 +34,8 @@ class BruteForceLinkState:
     it is the oracle the engine's grid-bucketed state is checked against.
     """
 
-    def __init__(self, channel, positions: np.ndarray) -> None:
+    def __init__(self, channel, schedule) -> None:
+        positions = schedule.positions
         if isinstance(channel, FriisChannel):
             dist = np.maximum(pairwise_distances(positions, norm="l2"), channel.reference_distance)
             self.matrix = (

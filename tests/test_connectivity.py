@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.topology.connectivity import (
-    communication_graph,
     connectivity_report,
     hop_counts_from,
     is_connected_to,
     reachable_fraction,
 )
+from repro.topology.geometry import pairwise_distances
+from repro.topology.grid import SLACK, NeighborGraph
 
 
 @pytest.fixture
@@ -21,17 +22,20 @@ def line_positions() -> np.ndarray:
 
 
 class TestCommunicationGraph:
+    """The radio graph the connectivity helpers read is the CSR
+    ``NeighborGraph``; its rows hold each node itself plus its neighbours."""
+
     def test_edges(self, line_positions):
-        graph = communication_graph(line_positions, radius=1.0)
-        assert graph.number_of_nodes() == 6
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
-        assert graph.degree[5] == 0
+        graph = NeighborGraph(line_positions, radius=1.0)
+        assert graph.num_nodes == 6
+        assert 1 in graph.neighbors(0)
+        assert 2 not in graph.neighbors(0)
+        assert graph.degrees()[5] == 0
 
     def test_larger_radius_more_edges(self, line_positions):
-        g1 = communication_graph(line_positions, radius=1.0)
-        g2 = communication_graph(line_positions, radius=2.0)
-        assert g2.number_of_edges() > g1.number_of_edges()
+        g1 = NeighborGraph(line_positions, radius=1.0)
+        g2 = NeighborGraph(line_positions, radius=2.0)
+        assert g2.degrees().sum() > g1.degrees().sum()
 
 
 class TestHopCounts:
@@ -48,19 +52,23 @@ class TestHopCounts:
         with pytest.raises(ValueError):
             hop_counts_from(line_positions, radius=1.0, source=99)
 
-    def test_hops_match_networkx(self):
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_hops_match_brute_force_bfs(self, norm):
         rng = np.random.default_rng(0)
         pos = rng.uniform(0, 10, size=(60, 2))
-        import networkx as nx
-
-        graph = communication_graph(pos, radius=2.5)
-        expected = nx.single_source_shortest_path_length(graph, 0)
-        hops = hop_counts_from(pos, radius=2.5, source=0)
-        for node in range(60):
-            if node in expected:
-                assert hops[node] == expected[node]
-            else:
-                assert hops[node] == -1
+        adjacency = pairwise_distances(pos, norm=norm) <= 2.5 + SLACK
+        expected = [-1] * 60
+        expected[0] = 0
+        frontier = [0]
+        while frontier:
+            reached = []
+            for node in frontier:
+                for other in np.nonzero(adjacency[node])[0]:
+                    if expected[other] == -1:
+                        expected[other] = expected[node] + 1
+                        reached.append(int(other))
+            frontier = reached
+        assert hop_counts_from(pos, radius=2.5, source=0, norm=norm).tolist() == expected
 
 
 class TestReachability:

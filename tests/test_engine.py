@@ -79,7 +79,8 @@ class Listener(Protocol):
         return self._message
 
 
-def make_sim(positions, protocols, message=(1,), honest=None, radius=2.0, phases=1):
+def make_sim(positions, protocols, message=(1,), honest=None, radius=2.0, phases=1,
+             use_soa_kernels=None):
     positions = np.asarray(positions, dtype=float)
     schedule = NodeSchedule(positions, radius=radius, source_index=0, phases_per_slot=phases,
                             separation=2 * radius)
@@ -108,7 +109,7 @@ def make_sim(positions, protocols, message=(1,), honest=None, radius=2.0, phases
                 honest=(honest[i] if honest else True),
             )
         )
-    return Simulation(nodes, schedule, channel, message), schedule
+    return Simulation(nodes, schedule, channel, message, use_soa_kernels=use_soa_kernels), schedule
 
 
 class TestEngineBasics:
@@ -343,6 +344,15 @@ class TestFlexTransmitters:
         assert result.adversary_broadcasts > 0
 
 
+def make_flood(positions):
+    """An epidemic flood over ``positions``: slots the SoA tier compiles,
+    so the simulation fetches a link state (Beacon/Listener slots do not)."""
+    from repro.core.epidemic import EpidemicConfig, EpidemicNode
+
+    protocols = [EpidemicNode(EpidemicConfig()) for _ in positions]
+    return make_sim(positions, protocols, use_soa_kernels=True)[0]
+
+
 class TestLinkCacheIntrospection:
     """The module-level link-state cache is observable and resettable, so
     cached-channel tests cannot contaminate each other (the autouse
@@ -356,38 +366,38 @@ class TestLinkCacheIntrospection:
 
     def test_counts_misses_then_hits_for_same_deployment(self):
         positions = [(0, 0), (1, 0), (2, 0)]
-        make_sim(positions, [Beacon(0), Listener(0), Listener(0)])
+        make_flood(positions)
         after_first = link_cache_info()
         assert after_first["entries"] == 1
         assert after_first["misses"] == 1 and after_first["hits"] == 0
         # Same channel parameters + same positions: served from the cache.
-        make_sim(positions, [Beacon(0), Listener(0), Listener(0)])
+        make_flood(positions)
         after_second = link_cache_info()
         assert after_second["entries"] == 1
         assert after_second["misses"] == 1 and after_second["hits"] == 1
 
     def test_distinct_positions_get_distinct_entries(self):
-        make_sim([(0, 0), (1, 0)], [Beacon(0), Listener(0)])
-        make_sim([(0, 0), (1.5, 0)], [Beacon(0), Listener(0)])
+        make_flood([(0, 0), (1, 0)])
+        make_flood([(0, 0), (1.5, 0)])
         info = link_cache_info()
         assert info["entries"] == 2
         assert info["misses"] == 2
 
     def test_clear_resets_entries_and_counters(self):
-        make_sim([(0, 0), (1, 0)], [Beacon(0), Listener(0)])
-        make_sim([(0, 0), (1, 0)], [Beacon(0), Listener(0)])
+        make_flood([(0, 0), (1, 0)])
+        make_flood([(0, 0), (1, 0)])
         assert link_cache_info()["hits"] == 1
         clear_link_cache()
         info = link_cache_info()
         assert info == {**info, "entries": 0, "hits": 0, "misses": 0}
         # The next identical construction is a miss again: a recompute, not
         # a stale read.
-        make_sim([(0, 0), (1, 0)], [Beacon(0), Listener(0)])
+        make_flood([(0, 0), (1, 0)])
         assert link_cache_info()["misses"] == 1
 
     def test_bounded_by_max_entries(self):
         for k in range(link_cache_info()["max_entries"] + 3):
-            make_sim([(0, 0), (1 + 0.01 * k, 0)], [Beacon(0), Listener(0)])
+            make_flood([(0, 0), (1 + 0.01 * k, 0)])
         info = link_cache_info()
         assert info["entries"] <= info["max_entries"]
 
@@ -585,6 +595,16 @@ class TestScalarOnlyBuildsNoLinkState:
         assert link_cache_info()["entries"] == 0
         assert sim.plan_cache_info()["link_state"] == {}
 
+    def test_no_compiled_slot_fetches_no_link_state(self):
+        """SoA on over an eligible channel, but Beacon/Listener slots never
+        compile: the link state is fetched with the first compiled slot, so
+        none is built."""
+        clear_link_cache()
+        sim, _ = make_sim([(0, 0), (1, 0)], [Beacon(0), Listener(0)], use_soa_kernels=True)
+        assert sim.soa_runtime is None
+        assert link_cache_info()["misses"] == 0
+        assert sim.plan_cache_info()["link_state"] == {}
+
 
 class TestPackageExports:
     """Every name a package exports must resolve: deleting a module must also
@@ -600,3 +620,21 @@ class TestPackageExports:
         missing = [name for name in package.__all__ if not hasattr(package, name)]
         assert missing == []
         assert len(set(package.__all__)) == len(package.__all__)
+
+    def test_imports_without_networkx(self):
+        """CI installs only numpy, scipy, hypothesis and the pytest plugins,
+        so no package may import networkx (``None`` in ``sys.modules`` makes
+        any such import raise ImportError)."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; sys.modules['networkx'] = None; "
+            "import repro.topology, repro.experiments, repro.service"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.topology import geometry as geo
+from repro.topology.grid import NeighborGraph
 
 
 class TestPoint:
@@ -117,18 +118,18 @@ class TestNeighborhoods:
         assert 1 in geo.neighbors_within(pos, (0, 0), 3, norm="linf").tolist()
         assert 1 not in geo.neighbors_within(pos, (0, 0), 3, norm="linf", strict=True).tolist()
 
-    def test_neighborhood_matrix_excludes_self(self):
-        pos = [(0, 0), (1, 0), (10, 10)]
-        adj = geo.neighborhood_matrix(pos, 2, norm="l2")
-        assert not adj[0, 0]
-        assert adj[0, 1] and adj[1, 0]
-        assert not adj[0, 2]
+    def test_neighbor_graph_degrees_exclude_self(self):
+        pos = np.asarray([(0, 0), (1, 0), (10, 10)], dtype=float)
+        graph = NeighborGraph(pos, 2, norm="l2")
+        assert graph.neighbors(0).tolist() == [0, 1]
+        assert graph.neighbors(1).tolist() == [0, 1]
+        assert graph.degrees().tolist() == [1, 1, 0]
 
-    def test_neighborhood_counts_grid(self):
+    def test_neighbor_graph_degrees_grid(self):
         # On a 5x5 unit grid with R=1 (L-inf), interior nodes have 8 neighbors.
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(5.0))
         pos = np.column_stack([xs.ravel(), ys.ravel()])
-        counts = geo.neighborhood_counts(pos, 1.0, norm="linf")
+        counts = NeighborGraph(pos, 1.0, norm="linf").degrees()
         assert counts.max() == 8
         assert counts.min() == 3  # corners
 
@@ -136,7 +137,7 @@ class TestNeighborhoods:
         # The paper: a neighborhood of radius R on the unit grid holds (2R+1)^2 - 1 others.
         xs, ys = np.meshgrid(np.arange(9.0), np.arange(9.0))
         pos = np.column_stack([xs.ravel(), ys.ravel()])
-        counts = geo.neighborhood_counts(pos, 2.0, norm="linf")
+        counts = NeighborGraph(pos, 2.0, norm="linf").degrees()
         assert counts.max() == (2 * 2 + 1) ** 2 - 1
 
 

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import Frame, FrameKind
+from repro.core.schedule import NodeSchedule
 from repro.sim.radio import FriisChannel, Transmission, UnitDiskChannel, message_observation
 from repro.topology.geometry import block_distances
 
@@ -133,7 +134,8 @@ class TestFriisKernelEquivalence:
         listener_ids, transmissions = _split_roles(positions, data)
         pos = np.asarray(positions, dtype=float) / 2.0
         chan = FriisChannel(2.0, loss_probability=0.25)
-        block = chan.link_state(pos).submatrix(listener_ids, [t.sender for t in transmissions])
+        state = chan.link_state(NodeSchedule(pos, 1.0, 0))
+        block = state.submatrix(listener_ids, [t.sender for t in transmissions])
         rng_a = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
         direct = chan.observe(listener_ids, pos[listener_ids], transmissions, rng_a)
